@@ -1,8 +1,9 @@
 """Command-line surface: codelength, density, indep, forest, simulate.
 
-Every subcommand is a pure function of the input file bytes, the flags, and
-the seed; reports are JSON with sorted keys, and file output goes through a
-temp-file rename, so repeated runs produce byte-identical results.
+Every subcommand is a pure function of the input file bytes and the flags
+(for simulate, the flags include the seed); reports are strict JSON with
+sorted keys, and file output goes through a temp-file rename, so repeated
+runs produce byte-identical results.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ class RunConfig:
     prior_p: float = 0.5
     mu: dict = field(default_factory=dict)
     sigma: dict = field(default_factory=dict)
-    seed: int = 0
     output: str | None = None
     schema_path: str | None = None
     partition_paths: dict = field(default_factory=dict)
@@ -60,7 +60,6 @@ class RunConfig:
             prior_p=getattr(args, "prior_p", 0.5),
             mu=_parse_assignments(getattr(args, "mu", []), float, "--mu"),
             sigma=_parse_assignments(getattr(args, "sigma", []), float, "--sigma"),
-            seed=getattr(args, "seed", 0),
             output=getattr(args, "output", None),
             schema_path=getattr(args, "schema", None),
             partition_paths=_parse_assignments(getattr(args, "partition", []), str, "--partition"),
@@ -80,8 +79,26 @@ def _parse_assignments(pairs, cast, flag):
     return out
 
 
+def _strict(value):
+    """The report with every non-finite float as null, its dict marked "dead".
+
+    A dead level or column has density zero (log density -inf, codelength
+    +inf), which RFC 8259 JSON cannot spell.
+    """
+    if isinstance(value, dict):
+        out = {key: _strict(item) for key, item in value.items()}
+        if any(isinstance(item, float) and not math.isfinite(item) for item in value.values()):
+            out["dead"] = True
+        return out
+    if isinstance(value, list):
+        return [_strict(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _emit(report: dict, output: str | None):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_strict(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if output is None:
         sys.stdout.write(text)
     else:
@@ -130,13 +147,13 @@ def _column_estimator(schema: ColumnSchema, config: RunConfig) -> MixtureEstimat
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             cut_levels = json.load(fh)
-        partition = CustomPartition(cut_levels, support=schema.measure)
-        if not partition.verify_refinement():
-            raise DatasetError(f"custom partition for {schema.name!r} is not a refinement sequence")
-    else:
-        partition = HistogramSequence(
-            schema.center, schema.scale, support=schema.measure, max_level=config.levels
-        )
+        try:
+            return MixtureEstimator(CustomPartition(cut_levels, support=schema.measure), schema.measure)
+        except ValueError as exc:
+            raise DatasetError(f"custom partition for {schema.name!r}: {exc}") from None
+    partition = HistogramSequence(
+        schema.center, schema.scale, support=schema.measure, max_level=config.levels
+    )
     return MixtureEstimator(partition, schema.measure)
 
 
@@ -291,7 +308,7 @@ def _cmd_simulate(args):
         "seed": args.seed,
         "output": args.output,
     }
-    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _add_common_flags(sub, joint=False):
@@ -311,7 +328,6 @@ def _add_common_flags(sub, joint=False):
     sub.add_argument("--schema", metavar="PATH", help="JSON schema overrides")
     sub.add_argument("--partition", action="append", default=[], metavar="COL=PATH",
                      help="custom partition (JSON cut-point arrays per level), repeatable")
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--output", metavar="PATH", help="write the JSON report here instead of stdout")
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "infer_column_kind",
     "repeated_atoms",
     "build_schema",
+    "default_scale",
 ]
 
 KINDS = ("discrete", "continuous", "mixed")
@@ -152,6 +153,12 @@ def _default_measure(kind: str, values: np.ndarray) -> ReferenceMeasure:
     return sum_measure(LebesgueMeasure(), CountingMeasure.from_atoms(repeated_atoms(values)))
 
 
+def default_scale(values) -> float:
+    """Histogram scale when none is given: the standard deviation, or 1 for a constant column."""
+    s = float(np.std(values))
+    return s if s > 0 else 1.0
+
+
 def build_schema(name: str, values, *, kind: str | None = None,
                  measure: ReferenceMeasure | None = None,
                  center: float | None = None, scale: float | None = None) -> ColumnSchema:
@@ -166,6 +173,5 @@ def build_schema(name: str, values, *, kind: str | None = None,
     if center is None:
         center = float(np.mean(values))
     if scale is None:
-        s = float(np.std(values))
-        scale = s if s > 0 else 1.0
+        scale = default_scale(values)
     return ColumnSchema(name=name, kind=kind, measure=measure, center=center, scale=scale)

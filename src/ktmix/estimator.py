@@ -87,6 +87,21 @@ def level_alphabet(partition: Partition, measure: ReferenceMeasure, k: int):
     return raw_to_alpha, log_eta
 
 
+def _check_refinement(partition: Partition):
+    """Raise ValueError unless the partition refines; batch fits depend on it."""
+    if not partition.verify_refinement():
+        raise ValueError("partition is not a refinement sequence: "
+                         "some level drops a cut point of the level before")
+
+
+def _merge_runs(symbols: np.ndarray, counts: np.ndarray):
+    """(distinct symbols, summed counts) of a non-decreasing symbol array."""
+    if symbols.size == 0:
+        return symbols, counts
+    starts = np.flatnonzero(np.concatenate(([True], symbols[1:] != symbols[:-1])))
+    return symbols[starts], np.add.reduceat(counts, starts)
+
+
 def _logsumexp(values: np.ndarray) -> float:
     hi = float(np.max(values))
     if hi == -math.inf:
@@ -118,6 +133,7 @@ class MixtureEstimator:
             raise ValueError(
                 f"{len(weights)} weights for {partition.max_level + 1} levels"
             )
+        _check_refinement(partition)
         self.partition = partition
         self.measure = measure
         self.weights = weights
@@ -172,8 +188,10 @@ class MixtureEstimator:
     def observe_many(self, ys) -> float:
         """Fold a batch in; returns the total log-density increment.
 
-        Equivalent to sequential observe() calls up to float rounding, but
-        vectorized per level, which is what makes large fits cheap.
+        Equivalent to sequential observe() calls up to float rounding.  The
+        samples are binned once at the finest level; every coarser level's
+        counts are sums of those, because the partition refines, and each
+        level is scored from its count table in closed form.
         """
         ys = np.asarray(ys, dtype=float)
         if ys.ndim != 1:
@@ -185,15 +203,18 @@ class MixtureEstimator:
             bad = ys[~ok][0]
             raise OutOfSupportError(f"value {bad!r} lies outside the support")
         old = self._log_mixture()
-        for k in range(len(self._states)):
-            state = self._states[k]
-            raws = np.searchsorted(self._cuts[k], ys, side="left")
+        finest = self._cuts[-1]
+        table = np.bincount(np.searchsorted(finest, ys, side="left"), minlength=finest.size + 1)
+        cells = np.flatnonzero(table)
+        counts = table[cells]
+        for k, raws in enumerate(self.partition.ancestors(cells)):
             alphas = self._raw_to_alpha[k][raws]
             valid = alphas >= 0
-            symbols = alphas[valid]
-            inc = state.observe_many(symbols) if state is not None and symbols.size else 0.0
+            symbols, level_counts = _merge_runs(alphas[valid], counts[valid])
+            state = self._states[k]
+            inc = state.observe_counts(symbols, level_counts) if state is not None else 0.0
             if valid.all() and state is not None:
-                self._lld[k] += inc - float(self._log_eta[k][symbols].sum())
+                self._lld[k] += inc - float(level_counts @ self._log_eta[k][symbols])
             else:
                 self._lld[k] = -math.inf
         self.n += ys.size

@@ -22,7 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimator import LevelWeights, MixtureEstimator, level_alphabet, _logsumexp
+from .data import default_scale
+from .estimator import (LevelWeights, MixtureEstimator, _check_refinement, _logsumexp,
+                        _merge_runs, level_alphabet)
 from .kt import KtState
 from .measure import LebesgueMeasure, OutOfSupportError, ReferenceMeasure
 from .partition import DEFAULT_MAX_LEVEL, HistogramSequence, Partition
@@ -77,6 +79,8 @@ class JointEstimator:
         if grid.sum() > 1 + 1e-12:
             raise ValueError("grid weights must sum to at most 1")
 
+        _check_refinement(partition_x)
+        _check_refinement(partition_y)
         self.partition_x, self.partition_y = partition_x, partition_y
         self.measure_x, self.measure_y = measure_x, measure_y
         self.n = 0
@@ -126,7 +130,12 @@ class JointEstimator:
         return new - old if new > -math.inf else -math.inf
 
     def observe_many(self, xs, ys) -> float:
-        """Vectorized batch observation; order-equivalent to observe() loops."""
+        """Fold a batch of pairs in; equivalent to observe() loops up to rounding.
+
+        The pairs are binned once on the grid of the two finest levels; each
+        (j, k) grid state is scored in closed form from that count table,
+        summed up to levels j and k.
+        """
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         if xs.shape != ys.shape or xs.ndim != 1:
@@ -139,20 +148,31 @@ class JointEstimator:
             i = int(np.flatnonzero(~ok)[0])
             raise OutOfSupportError(f"pair ({xs[i]!r}, {ys[i]!r}) lies outside the support")
         old = self._log_mixture()
-        ax = [r2a[np.searchsorted(c, xs, side="left")]
-              for (r2a, _), c in zip(self._axis_x, self._cuts_x)]
-        ay = [r2a[np.searchsorted(c, ys, side="left")]
-              for (r2a, _), c in zip(self._axis_y, self._cuts_y)]
-        for (j, k), state in self._states.items():
-            a, b = ax[j], ay[k]
-            valid = (a >= 0) & (b >= 0)
-            symbols = a[valid] * self._my[k] + b[valid]
-            inc = state.observe_many(symbols) if symbols.size else 0.0
-            if valid.all():
-                eta = float(self._axis_x[j][1][a].sum()) + float(self._axis_y[k][1][b].sum())
-                self._gld[j, k] += inc - eta
-            else:
-                self._gld[j, k] = -math.inf
+        ny = self._cuts_y[-1].size + 1
+        codes = (np.searchsorted(self._cuts_x[-1], xs, side="left") * ny
+                 + np.searchsorted(self._cuts_y[-1], ys, side="left"))
+        pairs, counts = np.unique(codes, return_counts=True)
+        cells_x, cells_y = np.divmod(pairs, ny)
+        ax = [r2a[raws] for (r2a, _), raws in zip(self._axis_x, self.partition_x.ancestors(cells_x))]
+        ay = [r2a[raws] for (r2a, _), raws in zip(self._axis_y, self.partition_y.ancestors(cells_y))]
+        for j, a_all in enumerate(ax):
+            # Sorted by (level-j x cell, finest y cell), the valid symbols
+            # a * m_y + b of every level k come out non-decreasing.
+            order = np.lexsort((cells_y, a_all))
+            a, c = a_all[order], counts[order]
+            for k, b_all in enumerate(ay):
+                state = self._states.get((j, k))
+                if state is None:
+                    continue
+                b = b_all[order]
+                valid = (a >= 0) & (b >= 0)
+                symbols, cell_counts = _merge_runs(a[valid] * self._my[k] + b[valid], c[valid])
+                inc = state.observe_counts(symbols, cell_counts)
+                if valid.all():
+                    eta = float(c @ (self._axis_x[j][1][a] + self._axis_y[k][1][b]))
+                    self._gld[j, k] += inc - eta
+                else:
+                    self._gld[j, k] = -math.inf
         self.n += xs.size
         new = self._log_mixture()
         return new - old if new > -math.inf else -math.inf
@@ -192,11 +212,6 @@ class PairReport:
         }
 
 
-def _default_scale(values: np.ndarray) -> float:
-    s = float(np.std(values))
-    return s if s > 0 else 1.0
-
-
 def analyze_pair(xs, ys, *,
                  measure_x: ReferenceMeasure | None = None,
                  measure_y: ReferenceMeasure | None = None,
@@ -225,8 +240,8 @@ def analyze_pair(xs, ys, *,
     measure_y = LebesgueMeasure() if measure_y is None else measure_y
     cx = float(np.mean(xs)) if center_x is None else float(center_x)
     cy = float(np.mean(ys)) if center_y is None else float(center_y)
-    sx = _default_scale(xs) if scale_x is None else float(scale_x)
-    sy = _default_scale(ys) if scale_y is None else float(scale_y)
+    sx = default_scale(xs) if scale_x is None else float(scale_x)
+    sy = default_scale(ys) if scale_y is None else float(scale_y)
 
     est_x = MixtureEstimator(HistogramSequence(cx, sx, support=measure_x, max_level=levels), measure_x)
     est_y = MixtureEstimator(HistogramSequence(cy, sy, support=measure_y, max_level=levels), measure_y)

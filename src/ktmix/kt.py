@@ -1,20 +1,27 @@
-"""Sequential Krichevsky-Trofimov probability assignment on a finite alphabet.
+"""Krichevsky-Trofimov probability assignment on a finite alphabet.
 
 After n observations with per-symbol counts c[x], the predictive probability
 of symbol x is (c[x] + 1/2) / (n + m/2) for alphabet size m.  The induced
 sequence probability sums to exactly 1 over all length-n sequences, and its
 per-symbol codelength approaches the source entropy for any i.i.d. source.
 
-All accumulation happens in natural-log domain; counts are stored sparsely
-because level alphabets can be large while samples touch few cells.  The
-closed Gamma-function form of the sequence probability is provided as an
-independent cross-check of the sequential recursion, which is the
-authoritative path.
+The sequence probability depends only on the final counts, through the
+closed Gamma-function form
+
+    Q = Gamma(m/2) * prod_x Gamma(c[x] + 1/2) / (Gamma(n + m/2) * Gamma(1/2)^m).
+
+So a batch is folded in from its count table alone (observe_counts), with
+one vectorized log-Gamma difference per distinct symbol; observe() runs the
+one-step recursion for streaming use.  Both update the same counts, may be
+interleaved freely, and agree up to float rounding.  All accumulation
+happens in natural-log domain; counts are stored sparsely because level
+alphabets can be large while samples touch few cells.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 from scipy.special import gammaln
@@ -58,47 +65,58 @@ class KtState:
         self.log_prob += inc
         return inc
 
-    def observe_many(self, symbols) -> float:
-        """Observe a whole batch; returns the total log-probability increment.
+    def observe_counts(self, symbols, counts) -> float:
+        """Fold in counts[i] occurrences of symbols[i]; returns the log-probability increment.
 
-        Computes the same sequential product as a loop of observe() calls,
-        with the factors regrouped per symbol, so results agree up to float
-        rounding.
+        symbols must be strictly increasing and counts positive.  The
+        increment is the closed form sum_x [lnG(c[x] + a[x] + 1/2) - lnG(c[x] + 1/2)]
+        - [lnG(n + N + m/2) - lnG(n + m/2)] for prior counts c, n and added
+        counts a, N: the sequential product, in any order of the batch.
         """
         symbols = np.asarray(symbols, dtype=np.int64)
-        if symbols.ndim != 1:
-            raise ValueError("symbol batch must be one-dimensional")
+        counts = np.asarray(counts, dtype=np.int64)
+        if symbols.ndim != 1 or symbols.shape != counts.shape:
+            raise ValueError("symbols and counts must be one-dimensional and of equal length")
         if symbols.size == 0:
             return 0.0
-        if symbols.min() < 0 or symbols.max() >= self.alphabet_size:
+        if symbols[0] < 0 or symbols[-1] >= self.alphabet_size:
             raise ValueError("symbol out of range in batch")
+        if symbols.size > 1 and not np.all(symbols[1:] > symbols[:-1]):
+            raise ValueError("batch symbols must be strictly increasing")
+        if counts.min() < 1:
+            raise ValueError("batch counts must be positive")
+        keys = symbols.tolist()
+        if self.counts:
+            before = np.fromiter(map(self.counts.get, keys, repeat(0)), dtype=np.int64, count=len(keys))
+        else:
+            before = np.zeros(len(keys), dtype=np.int64)
+        after = before + counts
+        added = int(counts.sum())
         half_m = 0.5 * self.alphabet_size
-        denominator = float(np.log(self.total + np.arange(symbols.size) + half_m).sum())
-        numerator = 0.0
-        uniq, batch_counts = np.unique(symbols, return_counts=True)
-        for sym, cnt in zip(uniq.tolist(), batch_counts.tolist()):
-            before = self.counts.get(sym, 0)
-            numerator += float(np.log(np.arange(before, before + cnt) + 0.5).sum())
-            self.counts[sym] = before + cnt
-        self.total += symbols.size
+        numerator = float(np.sum(gammaln(after + 0.5) - gammaln(before + 0.5)))
+        denominator = float(gammaln(self.total + added + half_m) - gammaln(self.total + half_m))
+        self.counts.update(zip(keys, after.tolist()))
+        self.total += added
         inc = numerator - denominator
         self.log_prob += inc
         return inc
 
-    def copy(self) -> "KtState":
-        dup = KtState(self.alphabet_size)
-        dup.counts = dict(self.counts)
-        dup.total = self.total
-        dup.log_prob = self.log_prob
-        return dup
+    def observe_many(self, symbols) -> float:
+        """Observe a whole batch; returns the total log-probability increment."""
+        symbols = np.asarray(symbols, dtype=np.int64)
+        if symbols.ndim != 1:
+            raise ValueError("symbol batch must be one-dimensional")
+        uniq, batch_counts = np.unique(symbols, return_counts=True)
+        return self.observe_counts(uniq, batch_counts)
 
 
 def kt_log_prob_closed_form(counts, alphabet_size: int) -> float:
     """log of the sequence probability from final counts, via log-Gamma.
 
     Equals Gamma(m/2) * prod_x Gamma(c[x]+1/2) / (Gamma(n+m/2) * Gamma(1/2)^m)
-    in log form.  Exists to cross-validate the sequential recursion; symbols
-    with zero count contribute nothing.
+    in log form, summed per symbol in plain Python; it is the reference that
+    both KtState paths are checked against.  Symbols with zero count
+    contribute nothing.
     """
     if isinstance(counts, dict):
         items = counts.items()

@@ -112,35 +112,6 @@ def _as_support(support):
     raise TypeError("support must be an Interval or a ReferenceMeasure")
 
 
-def _probe_point(cell: Interval) -> float:
-    """Some point strictly inside the cell."""
-    if cell.is_point:
-        return cell.lower
-    if cell.upper_closed and math.isfinite(cell.upper):
-        return cell.upper
-    if cell.lower_closed and math.isfinite(cell.lower):
-        return cell.lower
-    if math.isfinite(cell.lower) and math.isfinite(cell.upper):
-        return 0.5 * (cell.lower + cell.upper)
-    if math.isfinite(cell.lower):
-        return cell.lower + 1.0
-    if math.isfinite(cell.upper):
-        return cell.upper - 1.0
-    return 0.0
-
-
-def _covers(parent: Interval, child: Interval) -> bool:
-    if child.lower < parent.lower:
-        return False
-    if child.lower == parent.lower and child.lower_closed and not parent.lower_closed:
-        return False
-    if child.upper > parent.upper:
-        return False
-    if child.upper == parent.upper and child.upper_closed and not parent.upper_closed:
-        return False
-    return True
-
-
 class Partition:
     """Cut-point levels plus a support restriction.
 
@@ -169,6 +140,7 @@ class Partition:
         self.max_level = len(cuts) - 1
         self._levels: dict[int, LevelCells] = {}
         self._maps: dict[int, LevelMap] = {}
+        self._refines: bool | None = None
 
     # -- support ------------------------------------------------------------
 
@@ -285,16 +257,34 @@ class Partition:
         return kept
 
     def verify_refinement(self) -> bool:
-        """Check that every level-(k+1) cell sits inside exactly one level-k cell."""
-        for k in range(self.max_level):
-            parent = self.level(k)
-            for child in self.cells(k + 1):
-                probe = _probe_point(child)
-                raw = int(np.searchsorted(parent.cuts, probe, side="left"))
-                kept = int(parent.raw_to_kept[raw])
-                if kept < 0 or not _covers(parent.cells[kept], child):
-                    return False
-        return True
+        """True when every level's cut points are among the next level's.
+
+        Then every level-(k+1) cell sits inside exactly one level-k cell, and
+        a finest-level cell determines its cell at every level, which is what
+        ancestors() relies on.  Checked once per partition.
+        """
+        if self._refines is None:
+            self._refines = all(
+                _is_subset(coarse, fine) for coarse, fine in zip(self._cuts, self._cuts[1:])
+            )
+        return self._refines
+
+    def ancestors(self, cells) -> list:
+        """Raw cell index at each level 0..max_level of raw finest-level cells.
+
+        A finest cell lies in the cell of every coarser level that holds its
+        upper cut, and the top tail lies in the top tail, provided the
+        partition refines (verify_refinement).  Raw indices are those of a
+        cut-point search, before support restriction.
+        """
+        uppers = np.append(self._cuts[-1], math.inf)[np.asarray(cells, dtype=np.int64)]
+        return [np.searchsorted(cuts, uppers, side="left") for cuts in self._cuts]
+
+
+def _is_subset(small: np.ndarray, big: np.ndarray) -> bool:
+    """Whether every value of the sorted array small occurs in the sorted array big."""
+    idx = np.searchsorted(big, small)
+    return bool(idx.size == 0 or (idx[-1] < big.size and np.array_equal(big[idx], small)))
 
 
 def _universal_cuts(center: float, scale: float, max_level: int) -> list:
@@ -329,15 +319,17 @@ class HistogramSequence(Partition):
         if max_level < 0:
             raise ValueError("max_level must be nonnegative")
         super().__init__(_universal_cuts(center, scale, max_level), support)
+        self._refines = True  # each level copies the previous level's cuts
         self.center = center
         self.scale = scale
 
 
 class CustomPartition(Partition):
-    """A refining partition supplied as explicit cut-point lists, level 1 upward.
+    """A partition supplied as explicit cut-point lists, level 1 upward.
 
-    Accepts any family that passes verify_refinement, e.g. the dyadic splits
-    of [0, 1).  Level counts need not follow the 2^k - 1 pattern.
+    Any strictly increasing lists construct; the estimators accept only a
+    family that passes verify_refinement, e.g. the dyadic splits of [0, 1).
+    Level counts need not follow the 2^k - 1 pattern.
     """
 
     def __init__(self, cut_levels, support=None):

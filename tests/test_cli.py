@@ -212,6 +212,41 @@ class TestCustomPartition:
         assert "refinement" in err
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("argv", [
+        ("codelength", "--levels", "8"),
+        ("codelength", "--levels", "1"),  # both levels of x have cells of infinite mass
+        ("density", "b", "--levels", "8", "--grid-points", "5"),  # level 0 of a counting column dies
+        ("indep", "x", "y", "--levels", "8", "--joint-levels", "4"),
+        ("forest", "--levels", "8", "--joint-levels", "4"),
+    ])
+    def test_reports_parse_strictly(self, dataset, capsys, argv):
+        code, out, err = run_cli(capsys, argv[0], dataset, *argv[1:])
+        assert code == 0, err
+        json.loads(out, parse_constant=_reject_constant)
+
+    def test_simulate_summary_parses_strictly(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--columns", "x=gaussian", "--rows", "5",
+                                 "--seed", "2", "--output", str(tmp_path / "s.csv"))
+        assert code == 0, err
+        json.loads(out, parse_constant=_reject_constant)
+
+    def test_dead_values_are_null_and_flagged(self, dataset, capsys):
+        _, out, _ = run_cli(capsys, "codelength", dataset, "--levels", "1")
+        column = json.loads(out)["columns"]["x"]
+        assert column == {"codelength_bits": None, "bits_per_sample": None, "dead": True}
+        _, out, _ = run_cli(capsys, "density", dataset, "b", "--levels", "8", "--grid-points", "5")
+        levels = json.loads(out)["state"]["levels"]
+        dead = [level for level in levels if level.get("dead")]
+        assert dead and all(level["log_density"] is None for level in dead)
+        live = [level for level in levels if "dead" not in level]
+        assert live and all(math.isfinite(level["log_density"]) for level in live)
+
+
 class TestErrors:
     def test_unknown_column(self, dataset, capsys):
         code, _, err = run_cli(capsys, "indep", dataset, "x", "nope")
@@ -232,6 +267,10 @@ class TestErrors:
         code, _, err = run_cli(capsys, "indep", dataset, "x", "y", "--prior-p", "1.5")
         assert code == 1
         assert "prior-p" in err
+
+    def test_seed_is_a_simulate_flag_only(self, dataset, capsys):
+        with pytest.raises(SystemExit):
+            main(["codelength", dataset, "--seed", "1"])
 
     def test_missing_cell_reported(self, tmp_path, capsys):
         path = tmp_path / "broken.csv"

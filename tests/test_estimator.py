@@ -11,7 +11,7 @@ from ktmix.measure import (
     OutOfSupportError,
     sum_measure,
 )
-from ktmix.partition import HistogramSequence
+from ktmix.partition import CustomPartition, HistogramSequence
 
 UNIT = Interval.closed_open(0.0, 1.0)
 
@@ -50,6 +50,11 @@ class TestConstruction:
         part = HistogramSequence(0.0, 1.0, max_level=4)
         with pytest.raises(ValueError):
             MixtureEstimator(part, LebesgueMeasure(), LevelWeights((0.5, 0.25)))
+
+    def test_non_refining_partition_rejected(self):
+        broken = CustomPartition([[0.5], [0.25, 0.75]])  # level 2 drops the 0.5 cut
+        with pytest.raises(ValueError, match="refinement"):
+            MixtureEstimator(broken, LebesgueMeasure())
 
     def test_single_level_degenerate_model(self):
         part = HistogramSequence(0.5, 0.25, support=UNIT, max_level=0)

@@ -13,7 +13,7 @@ from ktmix.measure import (
     OutOfSupportError,
     scaled,
 )
-from ktmix.partition import HistogramSequence
+from ktmix.partition import CustomPartition, HistogramSequence
 
 UNIT = Interval.closed_open(0.0, 1.0)
 
@@ -54,6 +54,13 @@ class TestConstruction:
         px, py = unit_partitions(1)
         joint = JointEstimator(px, py, LebesgueMeasure(UNIT), LebesgueMeasure(UNIT), weights)
         assert math.exp(joint.log_density()) == pytest.approx(0.4, abs=1e-12)
+
+    def test_non_refining_partition_rejected(self):
+        good = HistogramSequence(0.0, 1.0, max_level=2)
+        broken = CustomPartition([[0.5], [0.25, 0.75]])
+        for px, py in ((broken, good), (good, broken)):
+            with pytest.raises(ValueError, match="refinement"):
+                JointEstimator(px, py, LebesgueMeasure(), LebesgueMeasure())
 
 
 class TestObserve:

@@ -124,6 +124,30 @@ class TestBatch:
         split.observe_many(symbols[123:])
         assert split.log_prob == pytest.approx(whole.log_prob, abs=1e-10)
 
+    def test_count_table_batch(self):
+        seq, batch = KtState(5), KtState(5)
+        for s in (4, 1, 4, 4, 0):
+            seq.observe(s)
+        batch.observe(4)
+        inc = batch.observe_counts([0, 1, 4], [1, 1, 2])
+        assert batch.counts == seq.counts and batch.total == seq.total
+        assert batch.log_prob == pytest.approx(seq.log_prob, abs=1e-12)
+        assert inc == pytest.approx(seq.log_prob - math.log(1 / 5), abs=1e-12)
+
+    def test_count_table_validation(self):
+        st = KtState(4)
+        with pytest.raises(ValueError):
+            st.observe_counts([2, 1], [1, 1])      # not increasing
+        with pytest.raises(ValueError):
+            st.observe_counts([1, 1], [1, 1])      # repeated symbol
+        with pytest.raises(ValueError):
+            st.observe_counts([1, 4], [1, 1])      # out of range
+        with pytest.raises(ValueError):
+            st.observe_counts([1, 2], [1, 0])      # zero count
+        with pytest.raises(ValueError):
+            st.observe_counts([1, 2], [1])
+        assert st.total == 0 and not st.counts
+
     def test_empty_batch(self):
         st = KtState(3)
         assert st.observe_many([]) == 0.0
