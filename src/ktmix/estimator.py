@@ -102,6 +102,16 @@ def _merge_runs(symbols: np.ndarray, counts: np.ndarray):
     return symbols[starts], np.add.reduceat(counts, starts)
 
 
+def _dot(counts: np.ndarray, values: np.ndarray) -> float:
+    """sum(counts * values) without BLAS.
+
+    A BLAS dot product of more than ~10,000 terms wakes the BLAS worker
+    threads, which then spin on the other cores after the call returns and
+    make the timing of everything that follows depend on the scheduler.
+    """
+    return float(np.sum(counts * values))
+
+
 def _logsumexp(values: np.ndarray) -> float:
     hi = float(np.max(values))
     if hi == -math.inf:
@@ -214,7 +224,7 @@ class MixtureEstimator:
             state = self._states[k]
             inc = state.observe_counts(symbols, level_counts) if state is not None else 0.0
             if valid.all() and state is not None:
-                self._lld[k] += inc - float(level_counts @ self._log_eta[k][symbols])
+                self._lld[k] += inc - _dot(level_counts, self._log_eta[k][symbols])
             else:
                 self._lld[k] = -math.inf
         self.n += ys.size

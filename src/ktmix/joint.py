@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import default_scale
-from .estimator import (LevelWeights, MixtureEstimator, _check_refinement, _logsumexp,
+from .estimator import (LevelWeights, MixtureEstimator, _check_refinement, _dot, _logsumexp,
                         _merge_runs, level_alphabet)
 from .kt import KtState
 from .measure import LebesgueMeasure, OutOfSupportError, ReferenceMeasure
@@ -169,7 +169,7 @@ class JointEstimator:
                 symbols, cell_counts = _merge_runs(a[valid] * self._my[k] + b[valid], c[valid])
                 inc = state.observe_counts(symbols, cell_counts)
                 if valid.all():
-                    eta = float(c @ (self._axis_x[j][1][a] + self._axis_y[k][1][b]))
+                    eta = _dot(c, self._axis_x[j][1][a] + self._axis_y[k][1][b])
                     self._gld[j, k] += inc - eta
                 else:
                     self._gld[j, k] = -math.inf
