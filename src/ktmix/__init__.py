@@ -30,11 +30,13 @@ from .kt import KtState, kt_log_prob_closed_form
 from .estimator import LevelWeights, MixtureEstimator
 from .joint import (
     DEFAULT_JOINT_LEVEL,
+    FittedColumn,
     ForestEdge,
     JointEstimator,
     PairReport,
     analyze_pair,
     build_forest,
+    score_pair,
 )
 from .data import (
     ColumnSchema,
@@ -68,7 +70,9 @@ __all__ = [
     "MixtureEstimator",
     "JointEstimator",
     "PairReport",
+    "FittedColumn",
     "ForestEdge",
+    "score_pair",
     "analyze_pair",
     "build_forest",
     "DEFAULT_JOINT_LEVEL",

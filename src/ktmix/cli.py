@@ -4,6 +4,13 @@ Every subcommand is a pure function of the input file bytes and the flags
 (for simulate, the flags include the seed); reports are strict JSON with
 sorted keys, and file output goes through a temp-file rename, so repeated
 runs produce byte-identical results.
+
+codelength and density fit one MixtureEstimator per column and accept
+--partition (a custom refining partition per column); indep and forest do
+not take it.  They fit each column they need once, as a FittedColumn that
+keeps the marginal log density and the joint-depth partition and drops the
+deep estimator, and score every pair from two of those (score_pair).  A
+value outside its column's support is reported with its row and column.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import math
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -21,7 +29,7 @@ import numpy as np
 
 from .data import ColumnSchema, DatasetError, build_schema, parse_dataset
 from .estimator import MixtureEstimator
-from .joint import DEFAULT_JOINT_LEVEL, analyze_pair, build_forest
+from .joint import DEFAULT_JOINT_LEVEL, FittedColumn, build_forest, score_pair
 from .measure import OutOfSupportError
 from .partition import DEFAULT_MAX_LEVEL, CustomPartition, HistogramSequence
 
@@ -142,6 +150,17 @@ def _resolve_schemas(names, columns, config: RunConfig) -> list:
     return schemas
 
 
+@contextmanager
+def _rows_named(path: str, name: str):
+    """Re-raise a batch fit's out-of-support error as a DatasetError naming row and column."""
+    try:
+        yield
+    except OutOfSupportError as exc:
+        if exc.index is None:
+            raise
+        raise DatasetError(f"{path}: {exc} at row {exc.index + 2}, column {name!r}") from None
+
+
 def _column_estimator(schema: ColumnSchema, config: RunConfig) -> MixtureEstimator:
     path = config.partition_paths.get(schema.name)
     if path is not None:
@@ -175,7 +194,8 @@ def _cmd_codelength(args):
     report["columns"] = {}
     for name, column, schema in zip(names, columns, schemas):
         est = _column_estimator(schema, config)
-        est.observe_many(column)
+        with _rows_named(args.data, name):
+            est.observe_many(column)
         bits = est.codelength_bits()
         report["columns"][name] = {
             "codelength_bits": bits,
@@ -193,7 +213,8 @@ def _cmd_density(args):
     idx = names.index(args.column)
     column, schema = columns[idx], schemas[idx]
     est = _column_estimator(schema, config)
-    est.observe_many(column)
+    with _rows_named(args.data, args.column):
+        est.observe_many(column)
     lo = float(column.min()) if args.grid_min is None else args.grid_min
     hi = float(column.max()) if args.grid_max is None else args.grid_max
     grid = np.linspace(lo, hi, args.grid_points)
@@ -212,17 +233,18 @@ def _cmd_density(args):
     _emit(report, config.output)
 
 
-def _analyze_named_pair(names, columns, schemas, name_x, name_y, config: RunConfig):
-    ix, iy = names.index(name_x), names.index(name_y)
-    sx, sy = schemas[ix], schemas[iy]
-    return analyze_pair(
-        columns[ix], columns[iy],
-        measure_x=sx.measure, measure_y=sy.measure,
-        center_x=sx.center, scale_x=sx.scale,
-        center_y=sy.center, scale_y=sy.scale,
-        levels=config.levels, joint_levels=config.joint_levels,
-        prior_p=config.prior_p,
-    )
+def _fit_columns(path, names, columns, schemas, wanted, config: RunConfig) -> dict:
+    """FittedColumn of each distinct wanted column name, fitted in the order given."""
+    fitted = {}
+    for name in dict.fromkeys(wanted):
+        i = names.index(name)
+        schema = schemas[i]
+        with _rows_named(path, name):
+            fitted[name] = FittedColumn.fit(
+                columns[i], measure=schema.measure, center=schema.center, scale=schema.scale,
+                levels=config.levels, joint_levels=config.joint_levels,
+            )
+    return fitted
 
 
 def _cmd_indep(args):
@@ -232,7 +254,8 @@ def _cmd_indep(args):
     for col in (args.col_x, args.col_y):
         if col not in names:
             raise DatasetError(f"unknown column {col!r}")
-    pair = _analyze_named_pair(names, columns, schemas, args.col_x, args.col_y, config)
+    fitted = _fit_columns(args.data, names, columns, schemas, (args.col_x, args.col_y), config)
+    pair = score_pair(fitted[args.col_x], fitted[args.col_y], config.prior_p)
     report = _base_report("indep", args, names, columns, schemas)
     report["columns"] = [args.col_x, args.col_y]
     report["report"] = pair.to_dict()
@@ -243,10 +266,11 @@ def _cmd_forest(args):
     config = RunConfig.from_args(args)
     names, columns = parse_dataset(args.data)
     schemas = _resolve_schemas(names, columns, config)
+    fitted = _fit_columns(args.data, names, columns, schemas, names, config)
     pair_table = {}
     pairs_out = []
     for name_x, name_y in combinations(names, 2):
-        pair = _analyze_named_pair(names, columns, schemas, name_x, name_y, config)
+        pair = score_pair(fitted[name_x], fitted[name_y], config.prior_p)
         pair_table[(name_x, name_y)] = pair
         pairs_out.append({"columns": sorted((name_x, name_y)), **pair.to_dict()})
     pairs_out.sort(key=lambda entry: entry["columns"])
@@ -326,8 +350,9 @@ def _add_common_flags(sub, joint=False):
     sub.add_argument("--sigma", action="append", default=[], metavar="COL=VALUE",
                      help="histogram scale override, repeatable")
     sub.add_argument("--schema", metavar="PATH", help="JSON schema overrides")
-    sub.add_argument("--partition", action="append", default=[], metavar="COL=PATH",
-                     help="custom partition (JSON cut-point arrays per level), repeatable")
+    if not joint:
+        sub.add_argument("--partition", action="append", default=[], metavar="COL=PATH",
+                         help="custom partition (JSON cut-point arrays per level), repeatable")
     sub.add_argument("--output", metavar="PATH", help="write the JSON report here instead of stdout")
 
 

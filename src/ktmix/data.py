@@ -12,6 +12,7 @@ unit-weight atom set holding the values that repeat often enough.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -78,8 +79,97 @@ class ColumnSchema:
         )
 
 
+# Every line break str.splitlines knows besides "\n", UTF-8 encoded.  A file
+# holding one leaves the vectorized reader, which splits at "\n" only.
+_OTHER_LINE_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e",
+                      "\x85".encode(), "\u2028".encode(), "\u2029".encode())
+
+# The vectorized reader holds one block of whole lines of this many bytes,
+# and its parsed table, besides the output columns.
+_BLOCK_BYTES = 1 << 18
+
+
 def parse_dataset(path) -> tuple[list, list]:
-    """Read a delimited file into (column names, list of float arrays)."""
+    """Read a delimited file into (column names, list of float arrays).
+
+    A well-formed file is read by np.loadtxt, a block of lines at a time,
+    straight into the output columns.  Anything it might read differently
+    from the cell-by-cell reader, or cannot read, goes to that reader, which
+    produces the same arrays and the row-and-column error.
+    """
+    fast = _parse_table(path)
+    return fast if fast is not None else _parse_cells(path)
+
+
+def _line_blocks(path):
+    """The file's bytes in blocks of whole lines; only the last may lack its "\n"."""
+    with open(path, "rb") as fh:
+        rest = b""
+        for chunk in iter(lambda: fh.read(_BLOCK_BYTES), b""):
+            chunk = rest + chunk
+            cut = chunk.rfind(b"\n") + 1
+            if cut:
+                yield chunk[:cut]
+            rest = chunk[cut:]
+        if rest:
+            yield rest
+
+
+def _scan_table(path):
+    """(column names, data line count) of a file _parse_table may read, else None."""
+    header = None
+    newlines = 0
+    block = b""
+    for block in _line_blocks(path):
+        if (header is not None and block.startswith(b"\n")) or b"\n\n" in block \
+                or any(brk in block for brk in _OTHER_LINE_BREAKS):
+            return None
+        if header is None:
+            header = block.split(b"\n", 1)[0]
+        newlines += block.count(b"\n")
+    data_lines = newlines - block.endswith(b"\n")
+    if data_lines < 1:
+        return None
+    try:
+        names = [name.strip() for name in header.decode("utf-8").split(",")]
+    except UnicodeDecodeError:
+        return None
+    if not all(names) or len(set(names)) != len(names):
+        return None
+    return names, data_lines
+
+
+def _parse_table(path):
+    """(names, columns) via np.loadtxt, or None to defer to _parse_cells."""
+    scanned = _scan_table(path)
+    if scanned is None:
+        return None
+    names, data_lines = scanned
+    columns = [np.empty(data_lines) for _ in names]
+    row = -1  # the header line comes first
+    for block in _line_blocks(path):
+        if row < 0:
+            block = block[block.index(b"\n") + 1:]
+            row = 0
+            if not block:
+                continue
+        lines = block.count(b"\n") + (not block.endswith(b"\n"))
+        try:
+            table = np.loadtxt(io.StringIO(block.decode("utf-8")), delimiter=",",
+                               comments=None, ndmin=2)
+        except ValueError:
+            return None
+        if (table.shape != (lines, len(names)) or row + lines > data_lines
+                or not np.isfinite(table).all()):
+            return None
+        for column, values in zip(columns, table.T):
+            column[row:row + lines] = values
+        row += lines
+    return (names, columns) if row == data_lines else None
+
+
+def _parse_cells(path) -> tuple[list, list]:
+    """parse_dataset one cell at a time; its errors name the offending row and column."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:

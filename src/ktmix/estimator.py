@@ -68,9 +68,21 @@ def level_alphabet(partition: Partition, measure: ReferenceMeasure, k: int):
     Returns (raw_to_alpha, log_eta) where raw_to_alpha sends the raw cell
     index from a cut-point search to the alphabet index (-1 if the cell was
     dropped) and log_eta holds the log reference mass per alphabet cell
-    (+inf allowed).
+    (+inf allowed).  The result is read-only and cached on the partition for
+    the last measure it was asked with, so the partitions a fitted column
+    keeps price their cells once for all the pairs it is in.
     """
-    lm = partition.level_map(k)
+    cached = partition._alphabets.get(k)
+    if cached is not None and cached[0] is measure:
+        return cached[1]
+    alphabet = _price_level(partition.level_map(k), measure)
+    for table in alphabet:
+        table.setflags(write=False)
+    partition._alphabets[k] = (measure, alphabet)
+    return alphabet
+
+
+def _price_level(lm, measure: ReferenceMeasure):
     if not lm.kept_count:
         return np.full(lm.cuts.size + 1, -1, dtype=np.int64), np.empty(0)
     eta = np.empty(lm.kept_count)
@@ -210,8 +222,8 @@ class MixtureEstimator:
             return 0.0
         ok = self.partition.in_support_many(ys) & self.measure.in_support_many(ys)
         if not ok.all():
-            bad = ys[~ok][0]
-            raise OutOfSupportError(f"value {bad!r} lies outside the support")
+            i = int(np.flatnonzero(~ok)[0])
+            raise OutOfSupportError(f"value {float(ys[i])!r} lies outside the support", index=i)
         old = self._log_mixture()
         finest = self._cuts[-1]
         table = np.bincount(np.searchsorted(finest, ys, side="left"), minlength=finest.size + 1)

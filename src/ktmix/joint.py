@@ -12,6 +12,10 @@ for prior independence probability p; the pair is declared independent
 exactly when the factor is nonnegative.  Pairwise factors feed a maximum
 weight spanning forest, which admits only edges with positive dependence
 evidence.
+
+g_x and g_y do not depend on the pair, so each column is fitted once
+(FittedColumn) and every pair that contains it costs one joint fit only
+(score_pair): d marginal fits and d(d-1)/2 joint fits for a forest.
 """
 
 from __future__ import annotations
@@ -33,7 +37,9 @@ __all__ = [
     "DEFAULT_JOINT_LEVEL",
     "JointEstimator",
     "PairReport",
+    "FittedColumn",
     "ForestEdge",
+    "score_pair",
     "analyze_pair",
     "build_forest",
 ]
@@ -146,7 +152,8 @@ class JointEstimator:
               & self.partition_y.in_support_many(ys) & self.measure_y.in_support_many(ys))
         if not ok.all():
             i = int(np.flatnonzero(~ok)[0])
-            raise OutOfSupportError(f"pair ({xs[i]!r}, {ys[i]!r}) lies outside the support")
+            raise OutOfSupportError(
+                f"pair ({float(xs[i])!r}, {float(ys[i])!r}) lies outside the support", index=i)
         old = self._log_mixture()
         ny = self._cuts_y[-1].size + 1
         codes = (np.searchsorted(self._cuts_x[-1], xs, side="left") * ny
@@ -212,6 +219,78 @@ class PairReport:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class FittedColumn:
+    """One column fitted once, holding only what its pair analyses read.
+
+    log_density is the marginal mixture's log g over values at the marginal
+    depth; partition is the column's histogram sequence cut at the joint
+    depth, whose level maps and cell alphabets are built by the first pair
+    the column is in and reused by the rest.  The deep marginal estimator and
+    its partition are dropped after the fit, so a forest over d columns keeps
+    d shallow partitions, not d deep ones.
+    """
+
+    values: np.ndarray
+    measure: ReferenceMeasure
+    partition: HistogramSequence
+    log_density: float
+
+    @classmethod
+    def fit(cls, values, *, measure: ReferenceMeasure | None = None,
+            center: float | None = None, scale: float | None = None,
+            levels: int = DEFAULT_MAX_LEVEL,
+            joint_levels: int = DEFAULT_JOINT_LEVEL) -> "FittedColumn":
+        """Fit the level mixture of depth levels to values.
+
+        The measure defaults to Lebesgue on the line, the center and scale to
+        the sample mean and standard deviation.
+        """
+        values = np.asarray(values, dtype=float)
+        measure = LebesgueMeasure() if measure is None else measure
+        center = float(np.mean(values)) if center is None else float(center)
+        scale = default_scale(values) if scale is None else float(scale)
+        marginal = MixtureEstimator(
+            HistogramSequence(center, scale, support=measure, max_level=levels), measure
+        )
+        marginal.observe_many(values)
+        return cls(
+            values=values,
+            measure=measure,
+            partition=HistogramSequence(center, scale, support=measure, max_level=joint_levels),
+            log_density=marginal.log_density(),
+        )
+
+
+def score_pair(fx: FittedColumn, fy: FittedColumn, prior_p: float = 0.5) -> PairReport:
+    """Bayes-factor report of two fitted columns: one joint fit over their pair grid.
+
+    mi_per_sample is (log_gxy - log_gx - log_gy) / n, a codelength estimate
+    of the mutual information that may come out negative for independent data.
+    """
+    if not 0 < prior_p < 1:
+        raise ValueError("prior_p must lie strictly between 0 and 1")
+    log_gx, log_gy = fx.log_density, fy.log_density
+    for label, value in (("x", log_gx), ("y", log_gy)):
+        if value == -math.inf:
+            raise ValueError(f"the {label} estimator collapsed to zero density on this data")
+    joint = JointEstimator(fx.partition, fy.partition, fx.measure, fy.measure)
+    joint.observe_many(fx.values, fy.values)
+    log_gxy = joint.log_density()
+    if log_gxy == -math.inf:
+        raise ValueError("the joint estimator collapsed to zero density on this data")
+    log_bf = math.log(prior_p) + log_gx + log_gy - math.log(1 - prior_p) - log_gxy
+    return PairReport(
+        log_gx=log_gx,
+        log_gy=log_gy,
+        log_gxy=log_gxy,
+        log_bayes_factor=log_bf,
+        mi_per_sample=(log_gxy - log_gx - log_gy) / fx.values.size,
+        decision="independent" if log_bf >= 0 else "dependent",
+        prior_p=prior_p,
+    )
+
+
 def analyze_pair(xs, ys, *,
                  measure_x: ReferenceMeasure | None = None,
                  measure_y: ReferenceMeasure | None = None,
@@ -220,56 +299,17 @@ def analyze_pair(xs, ys, *,
                  levels: int = DEFAULT_MAX_LEVEL,
                  joint_levels: int = DEFAULT_JOINT_LEVEL,
                  prior_p: float = 0.5) -> PairReport:
-    """Run the marginal and joint estimators over paired samples.
-
-    Measures default to Lebesgue on the line; centers and scales default to
-    the sample mean and standard deviation of each column.  mi_per_sample is
-    (log_gxy - log_gx - log_gy) / n, a codelength estimate of the mutual
-    information that may come out negative for independent data.
-    """
+    """Fit both columns (FittedColumn.fit), then score the pair (score_pair)."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ValueError("paired samples must be equal-length one-dimensional arrays")
-    n = xs.size
-    if n < 1:
+    if xs.size < 1:
         raise ValueError("at least one sample pair is required")
-    if not 0 < prior_p < 1:
-        raise ValueError("prior_p must lie strictly between 0 and 1")
-    measure_x = LebesgueMeasure() if measure_x is None else measure_x
-    measure_y = LebesgueMeasure() if measure_y is None else measure_y
-    cx = float(np.mean(xs)) if center_x is None else float(center_x)
-    cy = float(np.mean(ys)) if center_y is None else float(center_y)
-    sx = default_scale(xs) if scale_x is None else float(scale_x)
-    sy = default_scale(ys) if scale_y is None else float(scale_y)
-
-    est_x = MixtureEstimator(HistogramSequence(cx, sx, support=measure_x, max_level=levels), measure_x)
-    est_y = MixtureEstimator(HistogramSequence(cy, sy, support=measure_y, max_level=levels), measure_y)
-    est_x.observe_many(xs)
-    est_y.observe_many(ys)
-    joint = JointEstimator(
-        HistogramSequence(cx, sx, support=measure_x, max_level=joint_levels),
-        HistogramSequence(cy, sy, support=measure_y, max_level=joint_levels),
-        measure_x, measure_y,
-    )
-    joint.observe_many(xs, ys)
-
-    log_gx = est_x.log_density()
-    log_gy = est_y.log_density()
-    log_gxy = joint.log_density()
-    for label, value in (("x", log_gx), ("y", log_gy), ("joint", log_gxy)):
-        if value == -math.inf:
-            raise ValueError(f"the {label} estimator collapsed to zero density on this data")
-    log_bf = math.log(prior_p) + log_gx + log_gy - math.log(1 - prior_p) - log_gxy
-    return PairReport(
-        log_gx=log_gx,
-        log_gy=log_gy,
-        log_gxy=log_gxy,
-        log_bayes_factor=log_bf,
-        mi_per_sample=(log_gxy - log_gx - log_gy) / n,
-        decision="independent" if log_bf >= 0 else "dependent",
-        prior_p=prior_p,
-    )
+    depths = {"levels": levels, "joint_levels": joint_levels}
+    fx = FittedColumn.fit(xs, measure=measure_x, center=center_x, scale=scale_x, **depths)
+    fy = FittedColumn.fit(ys, measure=measure_y, center=center_y, scale=scale_y, **depths)
+    return score_pair(fx, fy, prior_p)
 
 
 class ForestEdge(NamedTuple):

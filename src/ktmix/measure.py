@@ -46,7 +46,12 @@ class OutOfSupportError(ValueError):
     """A value fell outside the support of the configured measure or partition.
 
     Usually signals a mismatch between the data and the column schema.
+    A batch method sets index to the position of the first offending sample.
     """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)

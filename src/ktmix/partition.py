@@ -140,6 +140,7 @@ class Partition:
         self.max_level = len(cuts) - 1
         self._levels: dict[int, LevelCells] = {}
         self._maps: dict[int, LevelMap] = {}
+        self._alphabets: dict = {}  # k -> (measure, alphabet); see estimator.level_alphabet
         self._refines: bool | None = None
 
     # -- support ------------------------------------------------------------

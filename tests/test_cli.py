@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from ktmix.cli import main
-from ktmix.data import build_schema, parse_dataset
+from ktmix.data import ColumnSchema, build_schema, parse_dataset
 from ktmix.estimator import MixtureEstimator
+from ktmix.joint import analyze_pair
 from ktmix.partition import HistogramSequence
 
 
@@ -149,6 +150,28 @@ class TestIndepAndForest:
         assert by_pair[("x", "y")] == "dependent"
         assert by_pair[("u", "x")] == "independent"
 
+    @pytest.mark.parametrize("depths", [(), ("--levels", "6", "--joint-levels", "8")])
+    def test_forest_pairs_equal_the_library(self, dataset, capsys, depths):
+        code, out, err = run_cli(capsys, "forest", dataset, *depths)
+        assert code == 0, err
+        report = json.loads(out)
+        # the defaults, or a joint grid deeper than the marginals
+        levels = {"levels": 6, "joint_levels": 8} if depths else {"levels": 16, "joint_levels": 8}
+        names, columns = parse_dataset(dataset)
+        data = dict(zip(names, columns))
+        schemas = {s["name"]: ColumnSchema.from_config(s) for s in report["schema"]}
+        assert {s.kind for s in schemas.values()} == {"discrete", "continuous", "mixed"}
+        assert len(report["pairs"]) == len(names) * (len(names) - 1) // 2
+        for entry in report["pairs"]:
+            a, b = sorted(entry["columns"], key=names.index)  # x and y in file order
+            sa, sb = schemas[a], schemas[b]
+            want = analyze_pair(data[a], data[b], measure_x=sa.measure, measure_y=sb.measure,
+                                center_x=sa.center, scale_x=sa.scale,
+                                center_y=sb.center, scale_y=sb.scale, **levels).to_dict()
+            assert entry["decision"] == want.pop("decision")
+            for key, value in want.items():
+                assert entry[key] == pytest.approx(value, rel=0, abs=1e-12), (a, b, key)
+
     def test_prior_flag_is_honored(self, dataset, capsys):
         _, out, _ = run_cli(capsys, "indep", dataset, "x", "u",
                             "--levels", "8", "--joint-levels", "4", "--prior-p", "0.25")
@@ -201,6 +224,16 @@ class TestCustomPartition:
         assert math.isfinite(bits)
         # uniform data against dyadic cells: codelength per sample stays small
         assert abs(bits) / 200 < 0.5
+
+    @pytest.mark.parametrize("argv", [("forest",), ("indep", "x", "u")])
+    def test_pair_commands_take_no_partition(self, dataset, tmp_path, capsys, argv):
+        part_path = str(tmp_path / "bad.json")
+        with open(part_path, "w") as fh:
+            json.dump([[0.5], [0.25, 0.75]], fh)
+        with pytest.raises(SystemExit) as info:
+            main([argv[0], dataset, *argv[1:], "--partition", f"u={part_path}"])
+        assert info.value.code == 2
+        assert "--partition" in capsys.readouterr().err
 
     def test_broken_partition_rejected(self, dataset, tmp_path, capsys):
         part_path = str(tmp_path / "bad.json")
@@ -271,6 +304,27 @@ class TestErrors:
     def test_seed_is_a_simulate_flag_only(self, dataset, capsys):
         with pytest.raises(SystemExit):
             main(["codelength", dataset, "--seed", "1"])
+
+    @pytest.mark.parametrize("argv", [
+        ("codelength",), ("forest",), ("indep", "x", "u"), ("density", "u"),
+    ])
+    def test_value_outside_the_schema_support_names_row_and_column(
+            self, dataset, tmp_path, capsys, argv):
+        schema_path = str(tmp_path / "schema.json")
+        with open(schema_path, "w") as fh:
+            json.dump({"columns": [{
+                "name": "u", "kind": "continuous", "center": 0.25, "scale": 0.1,
+                "measure": {"variant": "lebesgue",
+                            "support": {"lower": 0.0, "upper": 0.5,
+                                        "lower_closed": True, "upper_closed": False}},
+            }]}, fh)
+        _, columns = parse_dataset(dataset)
+        u = columns[1]
+        first = int(np.flatnonzero(u >= 0.5)[0])
+        code, _, err = run_cli(capsys, argv[0], dataset, *argv[1:], "--schema", schema_path)
+        assert code == 1
+        assert err == (f"error: {dataset}: value {float(u[first])!r} lies outside the support "
+                       f"at row {first + 2}, column 'u'\n")
 
     def test_missing_cell_reported(self, tmp_path, capsys):
         path = tmp_path / "broken.csv"

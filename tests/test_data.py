@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ktmix import data as data_module
 from ktmix.data import (
     ColumnSchema,
     DatasetError,
+    _parse_cells,
+    _parse_table,
     build_schema,
     infer_column_kind,
     parse_dataset,
@@ -60,6 +65,80 @@ class TestParseDataset:
         path = write(tmp_path, "a,b\n1,2\n3\n")
         with pytest.raises(DatasetError, match="row 3 has 1 cells"):
             parse_dataset(path)
+
+
+class TestVectorizedReader:
+    def test_well_formed_file_is_read_in_one_pass(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = np.column_stack([rng.standard_normal(500), rng.integers(0, 3, 500),
+                                  np.full(500, -0.0), rng.random(500) * 1e-310])
+        lines = [",".join(repr(float(v)) for v in row) for row in values]
+        lines[7] = " 1.5 ,\t2, -0 ,3e-1"          # padded cells parse as float() does
+        path = write(tmp_path, "a,b,c,d\n" + "\n".join(lines))   # no final newline
+        fast = _parse_table(path)
+        assert fast is not None
+        names, columns = _parse_cells(path)
+        assert fast[0] == names == ["a", "b", "c", "d"]
+        for got, want in zip(fast[1], columns):
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("text, error", [
+        ("a,b\r\n1,2\r\n3,4\r\n", None),
+        ("a\n1\n\n2\n", r"missing value at row 3, column 'a'"),
+        ("a,b\n\n", r"row 2 has 1 cells, expected 2"),
+        ("a\n1\x0c\n", r"missing value at row 3, column 'a'"),
+        ("a\n1\u2028\n", r"missing value at row 3, column 'a'"),
+        ("a\n1_000\n", None),
+        ("a,b\n1,inf\n", r"non-finite value 'inf' at row 2, column 'b'"),
+        ("a,b\n1,2,\n", r"row 2 has 3 cells, expected 2"),
+    ])
+    @pytest.mark.filterwarnings("error")        # loadtxt warns on a file of blank lines
+    def test_other_files_go_to_the_cell_reader(self, tmp_path, text, error):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _parse_table(str(path)) is None
+        if error is None:
+            names, columns = parse_dataset(str(path))
+            want = _parse_cells(str(path))
+            assert names == want[0]
+            assert [c.tolist() for c in columns] == [c.tolist() for c in want[1]]
+        else:
+            with pytest.raises(DatasetError, match=error):
+                parse_dataset(str(path))
+
+    @pytest.mark.parametrize("block_bytes", [1, 2, 3, 5, 8, 13, 64])
+    @pytest.mark.filterwarnings("error")        # loadtxt warns on a block of blank lines
+    def test_every_block_boundary(self, tmp_path, monkeypatch, block_bytes):
+        # Tiny blocks put a block boundary at every position of these files.
+        monkeypatch.setattr(data_module, "_BLOCK_BYTES", block_bytes)
+        good = "a,b\n1.5,2\n-3,4e-1\n 5 ,6\n7,8"
+        path = write(tmp_path, good)
+        names, columns = _parse_table(path)
+        want = _parse_cells(path)
+        assert names == want[0]
+        assert [c.tolist() for c in columns] == [c.tolist() for c in want[1]]
+        for bad in ("a,b\n1,2\n\n3,4\n", "a,b\n1,2\n3,4\n\n", "a,b\n1,2\n3,4\r\n",
+                    "a,b\n1,2\n3\u2028,4\n", "a,b\n1,2\n3\n", "a,b\n1,2\n3,x\n"):
+            path = tmp_path / "bad.csv"
+            path.write_bytes(bad.encode("utf-8"))
+            assert _parse_table(str(path)) is None, bad
+
+    def test_peak_memory_is_the_columns_plus_one_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data_module, "_BLOCK_BYTES", 1 << 14)
+        rows = 100_000
+        values = np.random.default_rng(5).standard_normal((rows, 2))
+        path = write(tmp_path, "a,b\n" + "\n".join(f"{x!r},{y!r}" for x, y in values.tolist()))
+        tracemalloc.start()
+        try:
+            names, columns = parse_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(np.column_stack(columns), values)
+        # A whole-file table plus column copies would need twice the columns.
+        assert peak < 8 * values.size + 32 * (1 << 14)
 
 
 class TestInferColumnKind:

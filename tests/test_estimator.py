@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from ktmix.estimator import LevelWeights, MixtureEstimator
+from ktmix.estimator import LevelWeights, MixtureEstimator, level_alphabet
 from ktmix.measure import (
     CountingMeasure,
     Interval,
     LebesgueMeasure,
     OutOfSupportError,
+    scaled,
     sum_measure,
 )
 from ktmix.partition import CustomPartition, HistogramSequence
@@ -56,6 +57,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="refinement"):
             MixtureEstimator(broken, LebesgueMeasure())
 
+    def test_level_alphabet_is_cached_per_measure(self):
+        part = HistogramSequence(0.0, 1.0, max_level=3)
+        lebesgue, doubled = LebesgueMeasure(), scaled(LebesgueMeasure(), 2.0)
+        first = level_alphabet(part, lebesgue, 3)
+        assert level_alphabet(part, lebesgue, 3) is first
+        assert not first[0].flags.writeable and not first[1].flags.writeable
+        other = level_alphabet(part, doubled, 3)       # a shared partition, another measure
+        np.testing.assert_allclose(other[1], first[1] + math.log(2.0), rtol=0, atol=1e-12)
+        fresh = HistogramSequence(0.0, 1.0, max_level=3)
+        np.testing.assert_array_equal(level_alphabet(fresh, lebesgue, 3)[1], first[1])
+
     def test_single_level_degenerate_model(self):
         part = HistogramSequence(0.5, 0.25, support=UNIT, max_level=0)
         est = MixtureEstimator(part, LebesgueMeasure(UNIT), LevelWeights((1.0,)))
@@ -92,6 +104,13 @@ class TestObserve:
         with pytest.raises(OutOfSupportError):
             est.density_at(-0.5)
         assert est.n == 0
+
+    def test_batch_support_error_names_first_bad_sample(self):
+        est = unit_uniform_estimator()
+        with pytest.raises(OutOfSupportError) as info:
+            est.observe_many(np.array([0.2, 0.4, 1.7, -3.0]))
+        assert info.value.index == 2
+        assert str(info.value) == "value 1.7 lies outside the support"
 
     def test_hand_computed_three_sample_mixture(self):
         # Direct arithmetic oracle for ys on the bounded uniform setup, K = 2.

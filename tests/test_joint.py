@@ -4,14 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from ktmix.estimator import LevelWeights
-from ktmix.joint import JointEstimator, PairReport, analyze_pair, build_forest
+from ktmix.estimator import LevelWeights, MixtureEstimator
+from ktmix.joint import (FittedColumn, JointEstimator, PairReport, analyze_pair, build_forest,
+                         score_pair)
 from ktmix.measure import (
     CountingMeasure,
     Interval,
     LebesgueMeasure,
     OutOfSupportError,
     scaled,
+    sum_measure,
 )
 from ktmix.partition import CustomPartition, HistogramSequence
 
@@ -86,6 +88,10 @@ class TestObserve:
             joint.observe(0.5, 1.5)
         with pytest.raises(OutOfSupportError):
             joint.observe_many([0.1, 2.0], [0.1, 0.2])
+        with pytest.raises(OutOfSupportError) as info:
+            joint.observe_many(np.array([0.1, 0.2, 0.3]), np.array([0.1, 0.2, 1.25]))
+        assert info.value.index == 2
+        assert str(info.value) == "pair (0.3, 1.25) lies outside the support"
         assert joint.n == 0
 
     def test_permutation_invariance(self):
@@ -218,6 +224,44 @@ class TestAnalyzePair:
             analyze_pair([], [])
         with pytest.raises(ValueError):
             analyze_pair([1.0], [2.0], prior_p=1.0)
+
+
+class TestFittedColumn:
+    def test_keeps_the_marginal_density_and_a_joint_depth_partition(self):
+        rng = np.random.default_rng(7)
+        xs = rng.standard_normal(300)
+        fitted = FittedColumn.fit(xs, levels=12, joint_levels=5)
+        est = MixtureEstimator(HistogramSequence(xs.mean(), xs.std(), max_level=12), LebesgueMeasure())
+        est.observe_many(xs)
+        assert fitted.log_density == est.log_density()
+        assert fitted.partition.max_level == 5
+        np.testing.assert_array_equal(fitted.values, xs)
+
+    def test_scoring_fitted_columns_equals_analyze_pair(self):
+        rng = np.random.default_rng(8)
+        xs = rng.standard_normal(400)
+        ys = np.where(rng.random(400) < 0.5, 0.0, xs + rng.standard_normal(400))
+        zero_inflated = sum_measure(LebesgueMeasure(), CountingMeasure.from_atoms([0.0]))
+        fx = FittedColumn.fit(xs, levels=10, joint_levels=6)
+        fy = FittedColumn.fit(ys, measure=zero_inflated, levels=10, joint_levels=6)
+        direct = analyze_pair(xs, ys, measure_y=zero_inflated, levels=10, joint_levels=6,
+                              prior_p=0.3)
+        # the same fitted columns serve several pairs and priors
+        assert score_pair(fx, fy, 0.5).log_gxy == score_pair(fx, fy, 0.3).log_gxy
+        assert score_pair(fx, fy, 0.3) == direct
+
+    def test_pair_validation(self):
+        fx = FittedColumn.fit([0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match="equal-length"):
+            score_pair(fx, FittedColumn.fit([0.1, 0.2]))
+        with pytest.raises(ValueError, match="prior_p"):
+            score_pair(fx, fx, 0.0)
+
+    def test_collapsed_marginal_is_named(self):
+        dead = FittedColumn.fit([0.5, 1.5], levels=1)   # level cells of infinite mass only
+        live = FittedColumn.fit([0.5, 1.5])
+        with pytest.raises(ValueError, match="the y estimator collapsed"):
+            score_pair(live, dead)
 
 
 def _fake_report(log_bf):

@@ -1,21 +1,27 @@
-"""Property tests: batch fits equal sequential observe() loops on random inputs.
+"""Property tests on random inputs.
 
-The batch paths score count tables in closed form over the refinement tree;
-the sequential paths run the one-step KT recursion sample by sample.  Both
-must leave identical counts and agree on log densities within the bounds of
-the fixed-example tests (1e-9 marginal, 1e-10 joint).
+Batch fits equal sequential observe() loops: the batch paths score count
+tables in closed form over the refinement tree; the sequential paths run the
+one-step KT recursion sample by sample.  Both must leave identical counts and
+agree on log densities within the bounds of the fixed-example tests (1e-9
+marginal, 1e-10 joint).  Also: every measure prices a half-open cell the same
+through measure_of and masses_half_open, and the vectorized dataset reader
+agrees with the cell-by-cell one, errors included.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ktmix.data import _parse_cells, parse_dataset
 from ktmix.estimator import MixtureEstimator
 from ktmix.joint import JointEstimator
 from ktmix.kt import KtState, kt_log_prob_closed_form
-from ktmix.measure import CountingMeasure, Interval, LebesgueMeasure, sum_measure
+from ktmix.measure import CountingMeasure, Interval, LebesgueMeasure, scaled, sum_measure
 from ktmix.partition import CustomPartition, HistogramSequence
 
 
@@ -145,3 +151,94 @@ def test_histogram_cuts_refine_and_a_dropped_cut_breaks_it(column, drop):
         broken = [np.asarray(c) for c in levels]
         broken[k + 1] = np.setdiff1d(broken[k + 1], [broken[k][drop % broken[k].size]])
         assert not CustomPartition(broken).verify_refinement()
+
+
+# Cell ends stay where float64 counts integers exactly, so the counting
+# rules' float arithmetic and measure_of's integer arithmetic can agree.
+ENDS = st.floats(-2.0**50, 2.0**50)
+
+
+@st.composite
+def base_measures(draw):
+    kind = draw(st.sampled_from(["lebesgue", "atoms", "unit-integers", "unit-naturals",
+                                 "harmonic"]))
+    if kind == "lebesgue":
+        lo, hi = sorted(draw(st.lists(ENDS, min_size=2, max_size=2, unique=True)))
+        support = draw(st.sampled_from([
+            Interval.real_line(), Interval.closed_open(lo, hi), Interval.half_open(lo, hi),
+            Interval.closed(lo, hi), Interval(-math.inf, hi, False, True),
+        ]))
+        return LebesgueMeasure(support)
+    if kind == "atoms":
+        atoms = draw(st.lists(st.floats(-100, 100), min_size=1, max_size=8, unique=True))
+        weights = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(atoms), max_size=len(atoms)))
+        return CountingMeasure.from_atoms(atoms, weights)
+    return {"unit-integers": CountingMeasure.unit_integers(),
+            "unit-naturals": CountingMeasure.unit_naturals(),
+            "harmonic": CountingMeasure.harmonic_naturals()}[kind]
+
+
+@st.composite
+def measures(draw):
+    measure = draw(base_measures())
+    if draw(st.booleans()):
+        measure = sum_measure(measure, draw(base_measures()))
+    if draw(st.booleans()):
+        measure = scaled(measure, draw(st.floats(1e-3, 1e3)))
+    return measure
+
+
+def total_atom_weight(measure) -> float:
+    """Largest finite mass a cancellation error in the cumulative weights can scale with."""
+    factor = getattr(measure, "factor", 1.0)
+    base = getattr(measure, "base", measure)
+    parts = getattr(base, "parts", (base,))
+    return factor * sum(sum(getattr(p, "weights", ())) for p in parts)
+
+
+@given(measure=measures(),
+       ends=st.lists(st.one_of(ENDS, st.floats(-20, 20), st.integers(-20, 20).map(float)),
+                     min_size=2, max_size=2, unique=True),
+       open_ends=st.sampled_from(["none", "lower", "upper"]))
+def test_measure_of_equals_masses_half_open(measure, ends, open_ends):
+    lo, hi = sorted(ends)
+    lo = -math.inf if open_ends == "lower" else lo
+    hi = math.inf if open_ends == "upper" else hi
+    scalar = measure.measure_of(Interval.half_open(lo, hi))
+    vector = measure.masses_half_open(np.array([lo]), np.array([hi]))
+    assert vector.shape == (1,)
+    if math.isinf(scalar):
+        assert vector[0] == scalar
+    else:
+        assert math.isclose(vector[0], scalar, rel_tol=1e-12,
+                            abs_tol=1e-12 * total_atom_weight(measure))
+
+
+CELLS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["", " ", " 2 ", "\t3", "\xa04", "1_0", "0x1p3", "1d5", "+.5", ".5e",
+                     "\u0661", "1\x00", "nan", "-inf", "1e400", "1e-400", "-0", "1 2", '"1"']),
+    st.text(alphabet="0123456789.-+eE _\t\r\n\x0b\x0c\x1c\x85\u2028 ,#", max_size=5),
+)
+
+
+@given(width=st.integers(1, 3),
+       rows=st.lists(st.lists(CELLS, min_size=1, max_size=4), max_size=5),
+       line_end=st.sampled_from(["\n", "\n", "\r\n", "\r"]),
+       tail=st.sampled_from(["", "\n", "\n\n"]))
+def test_vectorized_reader_equals_cell_reader(width, rows, line_end, tail):
+    text = ",".join("abc"[:width]) + line_end + line_end.join(map(",".join, rows)) + tail
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "data.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+        def outcome(parse):
+            try:
+                names, columns = parse(path)
+            except ValueError as exc:
+                return type(exc), str(exc)
+            return names, [(c.tolist(), np.signbit(c).tolist(), c.dtype) for c in columns]
+
+        assert outcome(parse_dataset) == outcome(_parse_cells)
