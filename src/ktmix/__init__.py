@@ -16,7 +16,6 @@ from .measure import (
     ScaledMeasure,
     SumMeasure,
     measure_from_config,
-    measure_to_config,
     scaled,
     sum_measure,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "ScaledMeasure",
     "sum_measure",
     "scaled",
-    "measure_to_config",
     "measure_from_config",
     "OutOfSupportError",
     "Partition",

@@ -8,9 +8,11 @@ runs produce byte-identical results.
 codelength and density fit one MixtureEstimator per column and accept
 --partition (a custom refining partition per column); indep and forest do
 not take it.  They fit each column they need once, as a FittedColumn that
-keeps the marginal log density and the joint-depth partition and drops the
-deep estimator, and score every pair from two of those (score_pair).  A
-value outside its column's support is reported with its row and column.
+keeps the marginal log density and the joint-depth partition, whose cells
+the first pair prices, and drops the deep estimator; every pair is scored
+from two of those (score_pair).  A column's schema measure both prices the
+cells and gates the samples: a value outside its support is reported with
+its row and column.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ __all__ = [
     "ColumnSchema",
     "parse_dataset",
     "infer_column_kind",
-    "repeated_atoms",
     "build_schema",
     "default_scale",
 ]
@@ -207,10 +206,23 @@ def _parse_cells(path) -> tuple[list, list]:
     return names, [np.asarray(col, dtype=float) for col in columns]
 
 
-def repeated_atoms(values: np.ndarray) -> np.ndarray:
-    """Values occurring in more than ATOM_REPEAT_FRACTION of the rows, sorted."""
+def _kind_and_atoms(values: np.ndarray) -> tuple[str, np.ndarray]:
+    """(inferred kind, repeated atoms) of a non-empty column, from one sort.
+
+    The integer tests run on the distinct values, and the values that are
+    not atoms are the distinct values that do not repeat.
+    """
+    if values.size == 0:
+        raise ValueError("cannot infer the kind of an empty column")
     uniq, counts = np.unique(values, return_counts=True)
-    return uniq[counts > ATOM_REPEAT_FRACTION * values.size]
+    integer = uniq == np.floor(uniq)
+    repeated = counts > ATOM_REPEAT_FRACTION * values.size
+    atoms = uniq[repeated]
+    if integer.all() and uniq.size <= max(20.0, math.sqrt(values.size)):
+        return "discrete", atoms
+    if atoms.size and not integer[~repeated].any():
+        return "mixed", atoms
+    return "continuous", atoms
 
 
 def infer_column_kind(values) -> str:
@@ -220,27 +232,15 @@ def infer_column_kind(values) -> str:
     Mixed: some value repeats in more than 5% of rows while the remaining
     values are non-integer.  Continuous otherwise.
     """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("cannot infer the kind of an empty column")
-    all_integer = bool(np.all(values == np.floor(values)))
-    distinct = np.unique(values).size
-    if all_integer and distinct <= max(20.0, math.sqrt(values.size)):
-        return "discrete"
-    atoms = repeated_atoms(values)
-    if atoms.size:
-        rest = values[~np.isin(values, atoms)]
-        if np.all(rest != np.floor(rest)):
-            return "mixed"
-    return "continuous"
+    return _kind_and_atoms(np.asarray(values, dtype=float))[0]
 
 
-def _default_measure(kind: str, values: np.ndarray) -> ReferenceMeasure:
+def _default_measure(kind: str, atoms: np.ndarray) -> ReferenceMeasure:
     if kind == "discrete":
         return CountingMeasure.unit_integers()
     if kind == "continuous":
         return LebesgueMeasure()
-    return sum_measure(LebesgueMeasure(), CountingMeasure.from_atoms(repeated_atoms(values)))
+    return sum_measure(LebesgueMeasure(), CountingMeasure.from_atoms(atoms))
 
 
 def default_scale(values) -> float:
@@ -254,12 +254,13 @@ def build_schema(name: str, values, *, kind: str | None = None,
                  center: float | None = None, scale: float | None = None) -> ColumnSchema:
     """Schema for one column, inferring whatever was not overridden."""
     values = np.asarray(values, dtype=float)
-    if kind is None:
-        kind = infer_column_kind(values)
-    elif kind not in KINDS:
+    if kind is not None and kind not in KINDS:
         raise DatasetError(f"unknown column kind {kind!r}")
-    if measure is None:
-        measure = _default_measure(kind, values)
+    if kind is None or measure is None:
+        inferred, atoms = _kind_and_atoms(values)
+        kind = inferred if kind is None else kind
+        if measure is None:
+            measure = _default_measure(kind, atoms)
     if center is None:
         center = float(np.mean(values))
     if scale is None:

@@ -11,8 +11,8 @@ Densities are Radon-Nikodym derivatives with respect to the configured
 measure.  A cell of infinite reference mass contributes density zero at its
 level (never an error): a finite probability spread over infinite mass has
 derivative zero, and the finite-mass levels keep the mixture alive.  For the
-same reason cells of zero reference mass are dropped from the level alphabets
-up front.
+same reason cells of zero reference mass, among them every cell outside the
+support, are dropped from the level alphabets up front.
 
 Codelengths for continuous data are differential and may be negative;
 counting-measure codelengths with unit weights are literal code lengths.
@@ -66,37 +66,24 @@ def level_alphabet(partition: Partition, measure: ReferenceMeasure, k: int):
     """Index maps for the level-k alphabet: cells with positive reference mass.
 
     Returns (raw_to_alpha, log_eta) where raw_to_alpha sends the raw cell
-    index from a cut-point search to the alphabet index (-1 if the cell was
-    dropped) and log_eta holds the log reference mass per alphabet cell
-    (+inf allowed).  The result is read-only and cached on the partition for
-    the last measure it was asked with, so the partitions a fitted column
-    keeps price their cells once for all the pairs it is in.
+    index from a cut-point search to the alphabet index (-1 if the cell has
+    no mass) and log_eta holds the log reference mass per alphabet cell
+    (+inf allowed).  Every raw cell is priced with one masses_half_open call.
+    The result is read-only and cached on the partition for the last measure
+    it was asked with, so the partitions a fitted column keeps price their
+    cells once for all the pairs it is in.
     """
     cached = partition._alphabets.get(k)
     if cached is not None and cached[0] is measure:
         return cached[1]
-    alphabet = _price_level(partition.level_map(k), measure)
+    cuts = partition.level_map(k).cuts
+    eta = measure.masses_half_open(np.append(-math.inf, cuts), np.append(cuts, math.inf))
+    keep = eta > 0
+    alphabet = (np.where(keep, np.cumsum(keep) - 1, -1), np.log(eta[keep]))
     for table in alphabet:
         table.setflags(write=False)
     partition._alphabets[k] = (measure, alphabet)
     return alphabet
-
-
-def _price_level(lm, measure: ReferenceMeasure):
-    if not lm.kept_count:
-        return np.full(lm.cuts.size + 1, -1, dtype=np.int64), np.empty(0)
-    eta = np.empty(lm.kept_count)
-    if lm.interior_pos.size:
-        eta[lm.interior_pos] = measure.masses_half_open(lm.interior_lo, lm.interior_hi)
-    for pos, cell in lm.edge_items:
-        eta[pos] = measure.measure_of(cell)
-    keep = eta > 0
-    alpha_of_kept = np.where(keep, np.cumsum(keep) - 1, -1)
-    raw_to_alpha = np.where(
-        lm.raw_to_kept >= 0, alpha_of_kept[np.maximum(lm.raw_to_kept, 0)], -1
-    ).astype(np.int64)
-    log_eta = np.log(eta[keep])
-    return raw_to_alpha, log_eta
 
 
 def _check_refinement(partition: Partition):

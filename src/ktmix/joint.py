@@ -56,9 +56,8 @@ def _product_weights(levels_x: int, levels_y: int) -> np.ndarray:
 class JointEstimator:
     """Level-grid mixture estimator for a pair of variables.
 
-    weights may be a 2D array of shape (levels_x+1, levels_y+1) or a mapping
-    {(j, k): weight} covering the full grid; the default is the product of
-    the univariate level weights.
+    weights is a 2D array of shape (levels_x+1, levels_y+1); the default is
+    the product of the univariate level weights.
     """
 
     def __init__(self, partition_x: Partition, partition_y: Partition,
@@ -68,14 +67,6 @@ class JointEstimator:
         shape = (jmax + 1, kmax + 1)
         if weights is None:
             grid = _product_weights(jmax, kmax)
-        elif isinstance(weights, dict):
-            grid = np.full(shape, np.nan)
-            for (j, k), w in weights.items():
-                if not (0 <= j <= jmax and 0 <= k <= kmax):
-                    raise ValueError(f"weight key {(j, k)} outside the level grid")
-                grid[j, k] = w
-            if np.isnan(grid).any():
-                raise ValueError("grid weights must cover every (j, k) pair")
         else:
             grid = np.asarray(weights, dtype=float)
             if grid.shape != shape:
@@ -225,8 +216,8 @@ class FittedColumn:
 
     log_density is the marginal mixture's log g over values at the marginal
     depth; partition is the column's histogram sequence cut at the joint
-    depth, whose level maps and cell alphabets are built by the first pair
-    the column is in and reused by the rest.  The deep marginal estimator and
+    depth, whose cell alphabets (the reference mass of every cell) are priced
+    by the first pair the column is in and reused by the rest.  The deep marginal estimator and
     its partition are dropped after the fit, so a forest over d columns keeps
     d shallow partitions, not d deep ones.
     """

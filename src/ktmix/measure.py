@@ -32,7 +32,6 @@ __all__ = [
     "scaled",
     "interval_to_config",
     "interval_from_config",
-    "measure_to_config",
     "measure_from_config",
 ]
 
@@ -111,11 +110,9 @@ class Interval:
         return self.upper - self.lower
 
     def contains(self, x: float) -> bool:
-        if x < self.lower or (x == self.lower and not self.lower_closed):
+        if not self.lower <= x <= self.upper:  # also rejects NaN
             return False
-        if x > self.upper or (x == self.upper and not self.upper_closed):
-            return False
-        return True
+        return (x != self.lower or self.lower_closed) and (x != self.upper or self.upper_closed)
 
     def contains_many(self, values) -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -182,21 +179,16 @@ class ReferenceMeasure:
     def masses_half_open(self, lows, highs) -> np.ndarray:
         """Vectorized measure_of over half-open cells (lows[i], highs[i]].
 
-        Partition levels hold thousands of cells, so the hot paths use this
-        instead of per-cell measure_of calls.
+        An infinite end gives an unbounded cell.  This prices every cell of
+        a partition level at once (estimator.level_alphabet).
         """
-        return np.array(
-            [self.measure_of(Interval.half_open(lo, hi)) for lo, hi in zip(lows, highs)]
-        )
+        raise NotImplementedError
 
     def in_support(self, y: float) -> bool:
+        """Whether y is a point of the support; NaN and +-inf never are."""
         raise NotImplementedError
 
     def in_support_many(self, values) -> np.ndarray:
-        raise NotImplementedError
-
-    def support_hull(self) -> Interval | None:
-        """Smallest interval containing the support; None if empty."""
         raise NotImplementedError
 
     def to_config(self) -> dict:
@@ -228,9 +220,6 @@ class LebesgueMeasure(ReferenceMeasure):
 
     def in_support_many(self, values) -> np.ndarray:
         return self.support.contains_many(values)
-
-    def support_hull(self) -> Interval:
-        return self.support
 
     def to_config(self) -> dict:
         return {"variant": "lebesgue", "support": interval_to_config(self.support)}
@@ -329,10 +318,13 @@ class CountingMeasure(ReferenceMeasure):
                 count = np.where(np.isinf(b) | np.isinf(a), INF, b - a + 1.0)
                 return np.where(a > b, 0.0, count)
         atoms = np.asarray(self.atoms, dtype=float)
-        cum = np.concatenate(([0.0], np.cumsum(self.weights)))
         hi_idx = np.searchsorted(atoms, highs, side="right")
         lo_idx = np.searchsorted(atoms, lows, side="right")
-        return cum[hi_idx] - cum[lo_idx]
+        # Sum each cell's own weights: a difference of cumulative sums would
+        # cancel away most digits of a light atom's mass next to heavy ones.
+        bounds = np.stack((lo_idx, hi_idx), axis=-1).ravel()
+        sums = np.add.reduceat(np.append(self.weights, 0.0), bounds)[::2]
+        return np.where(hi_idx > lo_idx, sums, 0.0)
 
     def in_support(self, y: float) -> bool:
         if self.rule is not None:
@@ -345,22 +337,13 @@ class CountingMeasure(ReferenceMeasure):
     def in_support_many(self, values) -> np.ndarray:
         values = np.asarray(values, dtype=float)
         if self.rule is not None:
-            mask = values == np.floor(values)
+            mask = np.isfinite(values) & (values == np.floor(values))
             if self.domain == "naturals":
                 mask &= values >= 1
             return mask
         if not self.atoms:
             return np.zeros(values.shape, dtype=bool)
         return np.isin(values, np.asarray(self.atoms))
-
-    def support_hull(self) -> Interval | None:
-        if self.rule is not None:
-            if self.domain == "naturals":
-                return Interval(1.0, INF, True, False)
-            return Interval.real_line()
-        if not self.atoms:
-            return None
-        return Interval.closed(self.atoms[0], self.atoms[-1])
 
     def to_config(self) -> dict:
         if self.rule is not None:
@@ -404,16 +387,6 @@ class SumMeasure(ReferenceMeasure):
             mask |= p.in_support_many(values)
         return mask
 
-    def support_hull(self) -> Interval | None:
-        hulls = [h for h in (p.support_hull() for p in self.parts) if h is not None]
-        if not hulls:
-            return None
-        lo = min(h.lower for h in hulls)
-        up = max(h.upper for h in hulls)
-        lo_closed = any(h.lower == lo and h.lower_closed for h in hulls)
-        up_closed = any(h.upper == up and h.upper_closed for h in hulls)
-        return Interval(lo, up, lo_closed, up_closed)
-
     def to_config(self) -> dict:
         return {"variant": "sum", "parts": [p.to_config() for p in self.parts]}
 
@@ -440,9 +413,6 @@ class ScaledMeasure(ReferenceMeasure):
 
     def in_support_many(self, values) -> np.ndarray:
         return self.base.in_support_many(values)
-
-    def support_hull(self) -> Interval | None:
-        return self.base.support_hull()
 
     def to_config(self) -> dict:
         return {"variant": "scaled", "factor": self.factor, "base": self.base.to_config()}
@@ -477,10 +447,6 @@ def interval_from_config(config: dict) -> Interval:
     lower_closed = bool(config.get("lower_closed", False))
     upper_closed = bool(config.get("upper_closed", not math.isinf(upper)))
     return Interval(lower, upper, lower_closed, upper_closed)
-
-
-def measure_to_config(measure: ReferenceMeasure) -> dict:
-    return measure.to_config()
 
 
 def measure_from_config(config: dict) -> ReferenceMeasure:

@@ -7,13 +7,15 @@ unbounded tail (center -/+ k*scale).  Cells therefore shrink around every
 point while the covered range grows, which is what makes the level mixture
 universal without any tuning of the cut placement.
 
-A partition may be restricted to a support set, given either as an interval
-or as a reference measure (whose support is used).  Restriction intersects
-every cell with the support and drops the cells that miss it entirely.
+A level's cells are the raw intervals between its cut points, the two
+unbounded tails included: cuts.size + 1 cells, indexed by a left-sided
+search of the cut points.  A cell enters an estimator only through its
+reference mass (estimator.level_alphabet), and a cell outside the support
+simply has mass zero, so cells are never clipped to the support.  The
+optional support is the gate on samples only (in_support, in_support_many).
 
 Cell convention: half-open (a, b] everywhere, so a point on a cut boundary
-belongs to the cell on its left; the leftmost cell of a bounded support keeps
-the support's own closed end.
+belongs to the cell on its left.
 """
 
 from __future__ import annotations
@@ -23,105 +25,42 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .measure import Interval, OutOfSupportError, ReferenceMeasure
+from .measure import Interval, LebesgueMeasure, ReferenceMeasure
 
 __all__ = [
     "DEFAULT_MAX_LEVEL",
     "HistogramSequence",
     "CustomPartition",
     "Partition",
-    "LevelCells",
 ]
 
 DEFAULT_MAX_LEVEL = 16
 
 
-class LevelCells(NamedTuple):
-    """Bulk view of one partition level."""
-
-    cuts: np.ndarray          # strictly increasing cut points
-    cells: list               # support-restricted cells, left to right
-    raw_to_kept: np.ndarray   # raw cell index -> kept index, -1 if dropped
-
-
 class LevelMap(NamedTuple):
-    """Index map of one level, without materialized cell objects.
-
-    Only the (at most two) cells straddling the support hull need clipping;
-    every other kept cell is the plain half-open (interior_lo, interior_hi].
-    Keeping those as parallel arrays lets level alphabets of 2^k cells be
-    priced with one vectorized mass evaluation.
-    """
+    """One level's raw cells: its cut points and the cell count cuts.size + 1."""
 
     cuts: np.ndarray
-    raw_to_kept: np.ndarray
     kept_count: int
-    interior_pos: np.ndarray  # kept indices holding pure half-open cells
-    interior_lo: np.ndarray
-    interior_hi: np.ndarray
-    edge_items: tuple         # ((kept index, clipped Interval), ...)
-
-
-class _IntervalSupport:
-    __slots__ = ("hull",)
-
-    def __init__(self, interval: Interval):
-        self.hull = interval
-
-    def contains(self, y: float) -> bool:
-        return self.hull.contains(y)
-
-    def contains_many(self, values) -> np.ndarray:
-        return self.hull.contains_many(values)
-
-    def occupied(self, cell: Interval) -> bool:
-        return True
-
-    def occupied_interior(self, lows, highs) -> np.ndarray:
-        return np.ones(len(lows), dtype=bool)
-
-
-class _MeasureSupport:
-    __slots__ = ("measure", "hull")
-
-    def __init__(self, measure: ReferenceMeasure):
-        hull = measure.support_hull()
-        if hull is None:
-            raise ValueError("the support measure has empty support")
-        self.measure = measure
-        self.hull = hull
-
-    def contains(self, y: float) -> bool:
-        return self.measure.in_support(y)
-
-    def contains_many(self, values) -> np.ndarray:
-        return self.measure.in_support_many(values)
-
-    def occupied(self, cell: Interval) -> bool:
-        return self.measure.measure_of(cell) > 0
-
-    def occupied_interior(self, lows, highs) -> np.ndarray:
-        return self.measure.masses_half_open(lows, highs) > 0
-
-
-def _as_support(support):
-    if isinstance(support, Interval):
-        return _IntervalSupport(support)
-    if isinstance(support, ReferenceMeasure):
-        return _MeasureSupport(support)
-    raise TypeError("support must be an Interval or a ReferenceMeasure")
 
 
 class Partition:
-    """Cut-point levels plus a support restriction.
+    """Cut-point levels plus a support gate for samples.
 
-    Level 0 is the single cell covering the whole support.  Instances are
-    immutable once built; per-level cell tables are materialized lazily but
-    idempotently, so concurrent readers observe identical results.
+    Level 0 is the single cell covering the whole line.  support is an
+    Interval (standing for Lebesgue measure on it) or a reference measure,
+    whose support the samples must lie in; the default admits every finite
+    value.  Instances are immutable once built, apart from the cache that
+    estimator.level_alphabet keeps on them.
     """
 
     def __init__(self, cut_levels, support=None):
-        support = Interval.real_line() if support is None else support
+        if support is None:
+            support = LebesgueMeasure()
+        elif isinstance(support, Interval):
+            support = LebesgueMeasure(support)
+        elif not isinstance(support, ReferenceMeasure):
+            raise TypeError("support must be an Interval or a ReferenceMeasure")
         cuts = []
         for k, level in enumerate(cut_levels):
             arr = np.asarray(level, dtype=float)
@@ -136,26 +75,16 @@ class Partition:
         if not cuts or cuts[0].size != 0:
             raise ValueError("level 0 must carry no cut points")
         self._cuts = cuts
-        self._support = _as_support(support)
+        self._support = support
         self.max_level = len(cuts) - 1
-        self._levels: dict[int, LevelCells] = {}
-        self._maps: dict[int, LevelMap] = {}
         self._alphabets: dict = {}  # k -> (measure, alphabet); see estimator.level_alphabet
         self._refines: bool | None = None
 
-    # -- support ------------------------------------------------------------
-
-    @property
-    def support_hull(self) -> Interval:
-        return self._support.hull
-
     def in_support(self, y: float) -> bool:
-        return self._support.contains(y)
+        return self._support.in_support(y)
 
     def in_support_many(self, values) -> np.ndarray:
-        return self._support.contains_many(values)
-
-    # -- levels -------------------------------------------------------------
+        return self._support.in_support_many(values)
 
     def cut_points(self, k: int) -> np.ndarray:
         if not 1 <= k <= self.max_level:
@@ -165,97 +94,8 @@ class Partition:
     def level_map(self, k: int) -> LevelMap:
         if not 0 <= k <= self.max_level:
             raise ValueError(f"level {k} out of range 0..{self.max_level}")
-        cached = self._maps.get(k)
-        if cached is None:
-            cached = self._build_level_map(k)
-            self._maps[k] = cached
-        return cached
-
-    def _build_level_map(self, k: int) -> LevelMap:
         cuts = self._cuts[k]
-        hull = self._support.hull
-        # Raw cells between the ones containing the hull ends lie entirely
-        # inside the hull, so only the two extreme candidates need clipping.
-        i0 = int(np.searchsorted(cuts, hull.lower, side="left"))
-        i1 = int(np.searchsorted(cuts, hull.upper, side="left"))
-        interior_raw = np.arange(i0 + 1, i1, dtype=np.int64)
-        interior_lo = cuts[i0:i1 - 1] if interior_raw.size else np.empty(0)
-        interior_hi = cuts[i0 + 1:i1] if interior_raw.size else np.empty(0)
-        if interior_raw.size:
-            occupied = self._support.occupied_interior(interior_lo, interior_hi)
-            interior_raw = interior_raw[occupied]
-            interior_lo = interior_lo[occupied]
-            interior_hi = interior_hi[occupied]
-
-        def clipped_edge(i: int) -> Interval | None:
-            lower = -math.inf if i == 0 else float(cuts[i - 1])
-            upper = math.inf if i == cuts.size else float(cuts[i])
-            raw = Interval(lower, upper, False, not math.isinf(upper))
-            clip = raw.intersect(hull)
-            if clip is None or not self._support.occupied(clip):
-                return None
-            return clip
-
-        kept_raw: list = []
-        edge_items: list = []
-        lead = clipped_edge(i0)
-        if lead is not None:
-            edge_items.append((0, lead))
-            kept_raw.append(i0)
-        interior_start = len(kept_raw)
-        kept_raw.extend(interior_raw.tolist())
-        if i1 != i0:
-            trail = clipped_edge(i1)
-            if trail is not None:
-                edge_items.append((len(kept_raw), trail))
-                kept_raw.append(i1)
-        interior_pos = np.arange(interior_start, interior_start + interior_raw.size, dtype=np.int64)
-        raw_to_kept = np.full(cuts.size + 1, -1, dtype=np.int64)
-        kept_raw_arr = np.asarray(kept_raw, dtype=np.int64)
-        raw_to_kept[kept_raw_arr] = np.arange(kept_raw_arr.size)
-        return LevelMap(
-            cuts=cuts,
-            raw_to_kept=raw_to_kept,
-            kept_count=int(kept_raw_arr.size),
-            interior_pos=interior_pos,
-            interior_lo=interior_lo,
-            interior_hi=interior_hi,
-            edge_items=tuple(edge_items),
-        )
-
-    def level(self, k: int) -> LevelCells:
-        cached = self._levels.get(k)
-        if cached is None:
-            cached = self._build_level(k)
-            self._levels[k] = cached
-        return cached
-
-    def _build_level(self, k: int) -> LevelCells:
-        lm = self.level_map(k)
-        cells: list = [None] * lm.kept_count
-        for pos, cell in lm.edge_items:
-            cells[pos] = cell
-        for pos, lo, hi in zip(lm.interior_pos.tolist(), lm.interior_lo.tolist(), lm.interior_hi.tolist()):
-            cells[pos] = Interval.half_open(lo, hi)
-        return LevelCells(lm.cuts, cells, lm.raw_to_kept)
-
-    def cells(self, k: int) -> list:
-        """Support-restricted cells of level k, left to right, empties dropped."""
-        return self.level(k).cells
-
-    def cell_of(self, k: int, y: float) -> int:
-        """Index into cells(k) of the cell containing y (right-closed convention)."""
-        lvl = self.level(k)
-        y = float(y)
-        if not self._support.contains(y):
-            raise OutOfSupportError(f"value {y!r} lies outside the support")
-        raw = int(np.searchsorted(lvl.cuts, y, side="left"))
-        kept = int(lvl.raw_to_kept[raw])
-        if kept < 0:
-            raise OutOfSupportError(
-                f"value {y!r} falls in a dropped cell at level {k}"
-            )
-        return kept
+        return LevelMap(cuts, cuts.size + 1)
 
     def verify_refinement(self) -> bool:
         """True when every level's cut points are among the next level's.
@@ -276,7 +116,7 @@ class Partition:
         A finest cell lies in the cell of every coarser level that holds its
         upper cut, and the top tail lies in the top tail, provided the
         partition refines (verify_refinement).  Raw indices are those of a
-        cut-point search, before support restriction.
+        left-sided cut-point search.
         """
         uppers = np.append(self._cuts[-1], math.inf)[np.asarray(cells, dtype=np.int64)]
         return [np.searchsorted(cuts, uppers, side="left") for cuts in self._cuts]

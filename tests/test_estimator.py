@@ -105,6 +105,21 @@ class TestObserve:
             est.density_at(-0.5)
         assert est.n == 0
 
+    def test_non_finite_samples_rejected(self):
+        for measure, y in ((LebesgueMeasure(), math.nan), (LebesgueMeasure(UNIT), math.nan),
+                           (CountingMeasure.unit_integers(), math.inf),
+                           (CountingMeasure.unit_integers(), -math.inf)):
+            est = MixtureEstimator(HistogramSequence(0.0, 1.0, support=measure, max_level=4), measure)
+            prior = est.log_density()
+            with pytest.raises(OutOfSupportError):
+                est.observe(y)
+            with pytest.raises(OutOfSupportError) as info:
+                est.observe_many(np.array([0.0, y]))
+            assert info.value.index == 1
+            with pytest.raises(OutOfSupportError):
+                est.density_at(y)
+            assert est.n == 0 and est.log_density() == prior
+
     def test_batch_support_error_names_first_bad_sample(self):
         est = unit_uniform_estimator()
         with pytest.raises(OutOfSupportError) as info:
@@ -225,11 +240,13 @@ class TestLevelPosterior:
     def test_repeated_atom_concentrates_on_isolating_level(self):
         measure = CountingMeasure.unit_integers()
         part = HistogramSequence(0.0, 1.0, support=measure, max_level=10)
+
+        def mass_around(k, y):
+            raw_to_alpha, log_eta = level_alphabet(part, measure, k)
+            return math.exp(log_eta[raw_to_alpha[np.searchsorted(part.level_map(k).cuts, y)]])
+
         # smallest level whose cell around 3.0 has mass exactly 1 (the atom alone)
-        isolating = min(
-            k for k in range(11)
-            if measure.measure_of(part.cells(k)[part.cell_of(k, 3.0)]) == 1.0
-        )
+        isolating = min(k for k in range(11) if mass_around(k, 3.0) == 1.0)
         est = MixtureEstimator(part, measure)
         est.observe_many(np.full(400, 3.0))
         assert int(np.argmax(est.level_posterior())) == isolating
@@ -258,12 +275,16 @@ class TestKlApproximationOracle:
         part = HistogramSequence(0.5, 0.25, support=UNIT, max_level=10)
         divergences = []
         for k in range(11):
+            # f lives on [0, 1), so each cell counts through its part in [0, 1]
+            cuts = part.level_map(k).cuts
+            lows = np.clip(np.append(-math.inf, cuts), 0.0, 1.0)
+            highs = np.clip(np.append(cuts, math.inf), 0.0, 1.0)
             d = 0.0
-            for cell in part.cells(k):
-                width = cell.length()
+            for lower, upper in zip(lows.tolist(), highs.tolist()):
+                width = upper - lower
                 if width == 0.0:
                     continue
-                p, f_log_f = self._triangular_cell_terms(cell.lower, cell.upper)
+                p, f_log_f = self._triangular_cell_terms(lower, upper)
                 if p > 0:
                     d += f_log_f - p * math.log(p / width)
             divergences.append(d)

@@ -49,13 +49,7 @@ class TestConstruction:
                            np.full((2, 3), 0.05))
         with pytest.raises(ValueError):
             JointEstimator(px, py, LebesgueMeasure(UNIT), LebesgueMeasure(UNIT),
-                           {(0, 0): 0.5})  # misses the rest of the grid
-
-    def test_weight_dict_accepted(self):
-        weights = {(j, k): 0.1 for j in range(2) for k in range(2)}
-        px, py = unit_partitions(1)
-        joint = JointEstimator(px, py, LebesgueMeasure(UNIT), LebesgueMeasure(UNIT), weights)
-        assert math.exp(joint.log_density()) == pytest.approx(0.4, abs=1e-12)
+                           np.full(9, 0.05))  # the grid's weights, but flat
 
     def test_non_refining_partition_rejected(self):
         good = HistogramSequence(0.0, 1.0, max_level=2)
@@ -92,6 +86,18 @@ class TestObserve:
             joint.observe_many(np.array([0.1, 0.2, 0.3]), np.array([0.1, 0.2, 1.25]))
         assert info.value.index == 2
         assert str(info.value) == "pair (0.3, 1.25) lies outside the support"
+        assert joint.n == 0
+
+    def test_non_finite_pairs_rejected(self):
+        px, _ = unit_partitions(2)
+        joint = JointEstimator(px, HistogramSequence(0.0, 1.0, max_level=2),
+                               LebesgueMeasure(UNIT), LebesgueMeasure())
+        for x, y in ((math.nan, 0.5), (0.5, math.nan), (0.5, math.inf)):
+            with pytest.raises(OutOfSupportError):
+                joint.observe(x, y)
+            with pytest.raises(OutOfSupportError) as info:
+                joint.observe_many([0.5, x], [0.5, y])
+            assert info.value.index == 1
         assert joint.n == 0
 
     def test_permutation_invariance(self):

@@ -9,9 +9,11 @@ from ktmix.measure import (
     LebesgueMeasure,
     OutOfSupportError,
 )
+from ktmix.estimator import MixtureEstimator, level_alphabet
 from ktmix.partition import CustomPartition, HistogramSequence
 
 INF = math.inf
+UNIT = Interval.closed_open(0.0, 1.0)
 
 
 class TestCutPoints:
@@ -48,73 +50,98 @@ class TestCutPoints:
             HistogramSequence(0.0, -1.0)
 
 
+def alphabet_masses(partition, measure, k):
+    """(raw_to_alpha as a list, reference masses of the alphabet cells) at level k."""
+    raw_to_alpha, log_eta = level_alphabet(partition, measure, k)
+    return raw_to_alpha.tolist(), np.exp(log_eta).tolist()
+
+
 class TestCells:
     def test_full_line_level_two(self):
         h = HistogramSequence(0.0, 1.0, max_level=2)
-        cells = h.cells(2)
-        assert [str(c) for c in cells] == [
-            "(-inf, -1.0]", "(-1.0, 0.0]", "(0.0, 1.0]", "(1.0, inf)"
-        ]
+        assert list(h.level_map(2).cuts) == [-1.0, 0.0, 1.0]
+        # (-inf, -1], (-1, 0], (0, 1], (1, inf)
+        assert alphabet_masses(h, LebesgueMeasure(), 2) == ([0, 1, 2, 3], [INF, 1.0, 1.0, INF])
 
     def test_level_zero_covers_support(self):
-        h = HistogramSequence(0.5, 0.25, support=Interval.closed_open(0.0, 1.0), max_level=2)
-        assert h.cells(0) == [Interval.closed_open(0.0, 1.0)]
+        h = HistogramSequence(0.5, 0.25, support=UNIT, max_level=2)
+        assert h.level_map(0).kept_count == 1
+        assert alphabet_masses(h, LebesgueMeasure(UNIT), 0) == ([0], [1.0])
 
     def test_bounded_support_level_one(self):
-        h = HistogramSequence(0.5, 0.25, support=Interval.closed_open(0.0, 1.0), max_level=1)
-        assert h.cells(1) == [Interval(0.0, 0.5, True, True), Interval(0.5, 1.0, False, False)]
+        h = HistogramSequence(0.5, 0.25, support=UNIT, max_level=1)
+        assert alphabet_masses(h, LebesgueMeasure(UNIT), 1) == ([0, 1], [0.5, 0.5])
 
     def test_natural_support_level_two(self):
-        # center 1, scale 1 over the naturals: cells hold {1}, {2}, {3,4,...}
+        # center 1, scale 1 over the naturals: cells hold {}, {1}, {2}, {3,4,...}
         m = CountingMeasure.harmonic_naturals()
         h = HistogramSequence(1.0, 1.0, support=m, max_level=2)
-        cells = h.cells(2)
-        assert len(cells) == 3
-        masses = [m.measure_of(c) for c in cells]
+        raw_to_alpha, masses = alphabet_masses(h, m, 2)
+        assert raw_to_alpha == [-1, 0, 1, 2]
         assert masses == pytest.approx([1 / 2, 1 / 6, 1 / 3], abs=1e-15)
 
     def test_cell_count_bound(self):
-        full = HistogramSequence(0.0, 1.0, max_level=10)
-        clipped = HistogramSequence(0.0, 1.0, support=Interval.closed_open(0.0, 1.0), max_level=10)
+        h = HistogramSequence(0.0, 1.0, max_level=10)
         for k in range(11):
-            assert len(full.cells(k)) == 2**k
-            assert len(clipped.cells(k)) <= 2**k
+            assert h.level_map(k).kept_count == 2**k
+            assert len(alphabet_masses(h, LebesgueMeasure(), k)[1]) == 2**k
+            assert len(alphabet_masses(h, LebesgueMeasure(UNIT), k)[1]) <= 2**k
 
 
 class TestCellOf:
+    """The cell a sample lands in: the right-closed convention and the support gate."""
+
     def test_examples(self):
         h = HistogramSequence(0.0, 1.0, max_level=2)
-        assert h.cell_of(2, 0.3) == 2    # (0, 1]
-        assert h.cell_of(2, -5.0) == 0   # leftmost tail
-        assert h.cell_of(2, 0.0) == 1    # (-1, 0], right-closed boundary
+        for y, cell in ((0.3, "2"),    # (0, 1]
+                        (-5.0, "0"),   # leftmost tail
+                        (0.0, "1")):   # (-1, 0], right-closed boundary
+            sequential = MixtureEstimator(h, LebesgueMeasure())
+            batch = MixtureEstimator(h, LebesgueMeasure())
+            sequential.observe(y)
+            batch.observe_many([y])
+            for est in (sequential, batch):
+                assert est.export_state()["levels"][2]["counts"] == {cell: 1}
 
     def test_outside_support_raises(self):
-        h = HistogramSequence(0.5, 0.25, support=Interval.closed_open(0.0, 1.0), max_level=2)
-        with pytest.raises(OutOfSupportError):
-            h.cell_of(2, 1.5)
-        with pytest.raises(OutOfSupportError):
-            h.cell_of(2, 1.0)  # support excludes its upper end
+        h = HistogramSequence(0.5, 0.25, support=UNIT, max_level=2)
+        assert not h.in_support(1.5)
+        assert not h.in_support(1.0)  # support excludes its upper end
+        assert h.in_support_many([1.5, 1.0, 0.0]).tolist() == [False, False, True]
+        est = MixtureEstimator(h, LebesgueMeasure(UNIT))
+        for y in (1.5, 1.0):
+            with pytest.raises(OutOfSupportError):
+                est.observe(y)
+            with pytest.raises(OutOfSupportError):
+                est.observe_many([0.5, y])
 
     def test_non_integer_outside_lattice_support(self):
-        h = HistogramSequence(1.0, 1.0, support=CountingMeasure.unit_naturals(), max_level=3)
+        m = CountingMeasure.unit_naturals()
+        h = HistogramSequence(1.0, 1.0, support=m, max_level=3)
+        assert not h.in_support(2.5)
         with pytest.raises(OutOfSupportError):
-            h.cell_of(3, 2.5)
+            MixtureEstimator(h, m).observe(2.5)
 
     def test_consistency_with_cells(self):
+        # The raw cell a left-sided cut search finds is the (lows, highs] cell
+        # that level_alphabet prices.
         rng = np.random.default_rng(123)
         h = HistogramSequence(0.2, 1.3, max_level=8)
         ys = rng.normal(0, 3, size=10_000)
         ks = rng.integers(0, 9, size=10_000)
-        for y, k in zip(ys, ks):
-            cell = h.cells(int(k))[h.cell_of(int(k), float(y))]
-            assert cell.contains(float(y))
+        for k in range(9):
+            cuts = h.level_map(k).cuts
+            y = ys[ks == k]
+            raw = np.searchsorted(cuts, y, side="left")
+            assert np.all(np.append(-INF, cuts)[raw] < y)
+            assert np.all(y <= np.append(cuts, INF)[raw])
 
 
 class TestRefinement:
     def test_histogram_sequence_refines(self):
         assert HistogramSequence(0.0, 1.0, max_level=8).verify_refinement()
         assert HistogramSequence(-3.7, 0.01, max_level=8).verify_refinement()
-        bounded = HistogramSequence(0.5, 0.25, support=Interval.closed_open(0.0, 1.0), max_level=8)
+        bounded = HistogramSequence(0.5, 0.25, support=UNIT, max_level=8)
         assert bounded.verify_refinement()
         lattice = HistogramSequence(1.0, 1.0, support=CountingMeasure.unit_naturals(), max_level=8)
         assert lattice.verify_refinement()
@@ -130,29 +157,25 @@ class TestRefinement:
         for j in range(1, 7):
             step = 2.0 ** -j
             levels.append([i * step for i in range(1, 2**j)])
-        part = CustomPartition(levels, support=Interval.closed_open(0.0, 1.0))
+        part = CustomPartition(levels, support=UNIT)
         assert part.verify_refinement()
-        assert len(part.cells(6)) == 64
+        assert part.level_map(6).kept_count == 64
+        assert alphabet_masses(part, LebesgueMeasure(UNIT), 6)[1] == pytest.approx(
+            [1 / 64] * 64, rel=1e-12)
 
     def test_union_of_cells_has_full_mass(self):
         cases = [
-            (LebesgueMeasure(Interval.closed_open(0.0, 1.0)),
-             HistogramSequence(0.5, 0.25, support=Interval.closed_open(0.0, 1.0), max_level=6)),
+            (LebesgueMeasure(UNIT),
+             HistogramSequence(0.5, 0.25, support=UNIT, max_level=6)),
             (CountingMeasure.harmonic_naturals(),
              HistogramSequence(1.0, 1.0, support=CountingMeasure.harmonic_naturals(), max_level=6)),
         ]
         for measure, part in cases:
-            whole = measure.measure_of(part.cells(0)[0])
+            (whole,) = alphabet_masses(part, measure, 0)[1]
+            assert whole == 1.0
             for k in range(7):
-                total = sum(measure.measure_of(c) for c in part.cells(k))
-                assert total == pytest.approx(whole, rel=1e-12)
-
-    def test_cells_pairwise_disjoint(self):
-        h = HistogramSequence(0.0, 1.0, max_level=6)
-        for k in range(7):
-            cells = h.cells(k)
-            for left, right in zip(cells, cells[1:]):
-                assert left.intersect(right) is None
+                assert math.fsum(alphabet_masses(part, measure, k)[1]) == pytest.approx(
+                    whole, rel=1e-12)
 
 
 class TestCustomPartition:
@@ -164,8 +187,6 @@ class TestCustomPartition:
         with pytest.raises(ValueError):
             CustomPartition([[0.0], [0.0, INF]])
 
-    def test_lazy_levels_are_idempotent(self):
-        h = HistogramSequence(0.0, 1.0, max_level=5)
-        first = h.cells(4)
-        again = h.cells(4)
-        assert first is again
+    def test_support_must_be_an_interval_or_a_measure(self):
+        with pytest.raises(TypeError):
+            CustomPartition([[0.5]], support=(0.0, 1.0))

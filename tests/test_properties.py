@@ -5,19 +5,22 @@ tables in closed form over the refinement tree; the sequential paths run the
 one-step KT recursion sample by sample.  Both must leave identical counts and
 agree on log densities within the bounds of the fixed-example tests (1e-9
 marginal, 1e-10 joint).  Also: every measure prices a half-open cell the same
-through measure_of and masses_half_open, and the vectorized dataset reader
+through measure_of and masses_half_open; the whole marginal and joint
+mixtures satisfy Kraft equality over weighted atoms; column-kind inference
+from one sort follows the stated rules; and the vectorized dataset reader
 agrees with the cell-by-cell one, errors included.
 """
 
+import itertools
 import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ktmix.data import _parse_cells, parse_dataset
+from ktmix.data import _kind_and_atoms, _parse_cells, parse_dataset
 from ktmix.estimator import MixtureEstimator
 from ktmix.joint import JointEstimator
 from ktmix.kt import KtState, kt_log_prob_closed_form
@@ -212,6 +215,71 @@ def test_measure_of_equals_masses_half_open(measure, ends, open_ends):
     else:
         assert math.isclose(vector[0], scalar, rel_tol=1e-12,
                             abs_tol=1e-12 * total_atom_weight(measure))
+
+
+@st.composite
+def atom_columns(draw):
+    """(partition, measure) for 2-3 weighted atoms and a histogram sequence of depth <= 2."""
+    atoms = draw(st.lists(st.floats(-10, 10), min_size=2, max_size=3, unique=True))
+    weights = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(atoms), max_size=len(atoms)))
+    measure = CountingMeasure.from_atoms(atoms, weights)
+    partition = HistogramSequence(draw(st.floats(-10, 10)), draw(st.floats(0.01, 10)),
+                                  support=measure, max_level=draw(st.integers(0, 2)))
+    return partition, measure
+
+
+def weighted_sequences(measures, n):
+    """(one value list per measure, product of the atom weights) of every
+    length-n sequence of atom tuples."""
+    letters = list(itertools.product(*(zip(m.atoms, m.weights) for m in measures)))
+    for seq in itertools.product(letters, repeat=n):
+        columns = [[letter[axis][0] for letter in seq] for axis in range(len(measures))]
+        yield columns, math.prod(w for letter in seq for _, w in letter)
+
+
+# A light atom between heavy ones: its cell's mass must not cancel away.
+LIGHT = CountingMeasure.from_atoms([0.0, 1.0, 2.0], [1000.0, 0.001, 1.0])
+LIGHT_COLUMN = (HistogramSequence(1.0, 0.7, support=LIGHT, max_level=2), LIGHT)
+
+
+@settings(max_examples=25)
+@given(x=atom_columns(), y=atom_columns(), n=st.integers(1, 2))
+@example(x=LIGHT_COLUMN, y=LIGHT_COLUMN, n=2)
+def test_mixtures_satisfy_kraft_equality(x, y, n):
+    """Summed over every atom sequence, g times the atom weights is the prior
+    weight of the live levels (marginal) or grid states (joint): each cell's KT
+    probability spreads over its atoms in proportion to weight / eta."""
+    (px, mx), (py, my) = x, y
+    for fresh, measures in ((lambda: MixtureEstimator(px, mx), [mx]),
+                            (lambda: JointEstimator(px, py, mx, my), [mx, my])):
+        total = 0.0
+        for columns, weight in weighted_sequences(measures, n):
+            est = fresh()
+            est.observe_many(*columns)
+            total += math.exp(est.log_density()) * weight
+        assert math.isclose(total, math.exp(fresh().log_density()), rel_tol=1e-12)
+
+
+def kind_by_the_rules(values):
+    """The column-kind rules as stated, one pass over the whole column each."""
+    distinct = np.unique(values).size
+    if np.all(values == np.floor(values)) and distinct <= max(20.0, math.sqrt(values.size)):
+        return "discrete"
+    uniq, counts = np.unique(values, return_counts=True)
+    atoms = uniq[counts > 0.05 * values.size]
+    rest = values[~np.isin(values, atoms)]
+    return "mixed" if atoms.size and np.all(rest != np.floor(rest)) else "continuous"
+
+
+@given(st.lists(st.one_of(st.integers(-3, 3).map(float), st.sampled_from([0.5, -2.25]),
+                          st.integers(-10**6, 10**6).map(float), st.floats(-1e6, 1e6)),
+                min_size=1, max_size=80))
+def test_one_sort_kind_inference_follows_the_rules(values):
+    values = np.asarray(values)
+    kind, atoms = _kind_and_atoms(values)
+    assert kind == kind_by_the_rules(values)
+    uniq, counts = np.unique(values, return_counts=True)
+    np.testing.assert_array_equal(atoms, uniq[counts > 0.05 * values.size])
 
 
 CELLS = st.one_of(
