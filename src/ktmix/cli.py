@@ -24,7 +24,6 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -35,45 +34,23 @@ from .joint import DEFAULT_JOINT_LEVEL, FittedColumn, build_forest, score_pair
 from .measure import OutOfSupportError
 from .partition import DEFAULT_MAX_LEVEL, CustomPartition, HistogramSequence
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 SIMULATE_KINDS = ("gaussian", "uniform", "bernoulli", "mixed")
 
 
-@dataclass
-class RunConfig:
-    """Resolved flags shared by the analysis subcommands."""
-
-    levels: int = DEFAULT_MAX_LEVEL
-    joint_levels: int = DEFAULT_JOINT_LEVEL
-    prior_p: float = 0.5
-    mu: dict = field(default_factory=dict)
-    sigma: dict = field(default_factory=dict)
-    output: str | None = None
-    schema_path: str | None = None
-    partition_paths: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.levels < 0 or self.joint_levels < 0:
-            raise ValueError("level counts must be nonnegative")
-        if not 0 < self.prior_p < 1:
-            raise ValueError("prior-p must lie strictly between 0 and 1")
-        for name, value in self.sigma.items():
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"sigma override for column {name!r} must be positive")
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        return cls(
-            levels=getattr(args, "levels", DEFAULT_MAX_LEVEL),
-            joint_levels=getattr(args, "joint_levels", DEFAULT_JOINT_LEVEL),
-            prior_p=getattr(args, "prior_p", 0.5),
-            mu=_parse_assignments(getattr(args, "mu", []), float, "--mu"),
-            sigma=_parse_assignments(getattr(args, "sigma", []), float, "--sigma"),
-            output=getattr(args, "output", None),
-            schema_path=getattr(args, "schema", None),
-            partition_paths=_parse_assignments(getattr(args, "partition", []), str, "--partition"),
-        )
+def _parse_flags(args):
+    """Turn --mu/--sigma/--partition into {column: value} dicts on args and range-check the flags."""
+    args.mu = _parse_assignments(args.mu, float, "--mu")
+    args.sigma = _parse_assignments(args.sigma, float, "--sigma")
+    args.partition = _parse_assignments(getattr(args, "partition", []), str, "--partition")
+    if args.levels < 0 or getattr(args, "joint_levels", 0) < 0:
+        raise ValueError("level counts must be nonnegative")
+    if not 0 < getattr(args, "prior_p", 0.5) < 1:
+        raise ValueError("prior-p must lie strictly between 0 and 1")
+    for name, value in args.sigma.items():
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"sigma override for column {name!r} must be positive")
 
 
 def _parse_assignments(pairs, cast, flag):
@@ -128,26 +105,26 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _resolve_schemas(names, columns, config: RunConfig) -> list:
+def _resolve_schemas(names, columns, args) -> list:
     overrides = {}
-    if config.schema_path:
-        with open(config.schema_path, "r", encoding="utf-8") as fh:
+    if args.schema:
+        with open(args.schema, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
         entries = loaded["columns"] if isinstance(loaded, dict) else loaded
         for entry in entries:
             overrides[entry["name"]] = ColumnSchema.from_config(entry)
-    for flag, mapping in (("--mu", config.mu), ("--sigma", config.sigma),
-                          ("--schema", overrides), ("--partition", config.partition_paths)):
+    for flag, mapping in (("--mu", args.mu), ("--sigma", args.sigma),
+                          ("--schema", overrides), ("--partition", args.partition)):
         for name in mapping:
             if name not in names:
                 raise DatasetError(f"{flag} names unknown column {name!r}")
     schemas = []
     for name, column in zip(names, columns):
         schema = overrides.get(name) or build_schema(name, column)
-        if name in config.mu:
-            schema.center = config.mu[name]
-        if name in config.sigma:
-            schema.scale = config.sigma[name]
+        if name in args.mu:
+            schema.center = args.mu[name]
+        if name in args.sigma:
+            schema.scale = args.sigma[name]
         schemas.append(schema)
     return schemas
 
@@ -163,8 +140,8 @@ def _rows_named(path: str, name: str):
         raise DatasetError(f"{path}: {exc} at row {exc.index + 2}, column {name!r}") from None
 
 
-def _column_estimator(schema: ColumnSchema, config: RunConfig) -> MixtureEstimator:
-    path = config.partition_paths.get(schema.name)
+def _column_estimator(schema: ColumnSchema, args) -> MixtureEstimator:
+    path = args.partition.get(schema.name)
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             cut_levels = json.load(fh)
@@ -173,7 +150,7 @@ def _column_estimator(schema: ColumnSchema, config: RunConfig) -> MixtureEstimat
         except ValueError as exc:
             raise DatasetError(f"custom partition for {schema.name!r}: {exc}") from None
     partition = HistogramSequence(
-        schema.center, schema.scale, support=schema.measure, max_level=config.levels
+        schema.center, schema.scale, support=schema.measure, max_level=args.levels
     )
     return MixtureEstimator(partition, schema.measure)
 
@@ -188,14 +165,14 @@ def _base_report(command: str, args, names, columns, schemas) -> dict:
 
 
 def _cmd_codelength(args):
-    config = RunConfig.from_args(args)
+    _parse_flags(args)
     names, columns = parse_dataset(args.data)
-    schemas = _resolve_schemas(names, columns, config)
+    schemas = _resolve_schemas(names, columns, args)
     report = _base_report("codelength", args, names, columns, schemas)
-    report["levels"] = config.levels
+    report["levels"] = args.levels
     report["columns"] = {}
     for name, column, schema in zip(names, columns, schemas):
-        est = _column_estimator(schema, config)
+        est = _column_estimator(schema, args)
         with _rows_named(args.data, name):
             est.observe_many(column)
         bits = est.codelength_bits()
@@ -203,18 +180,18 @@ def _cmd_codelength(args):
             "codelength_bits": bits,
             "bits_per_sample": bits / column.size,
         }
-    _emit(report, config.output)
+    _emit(report, args.output)
 
 
 def _cmd_density(args):
-    config = RunConfig.from_args(args)
+    _parse_flags(args)
     names, columns = parse_dataset(args.data)
-    schemas = _resolve_schemas(names, columns, config)
+    schemas = _resolve_schemas(names, columns, args)
     if args.column not in names:
         raise DatasetError(f"unknown column {args.column!r}")
     idx = names.index(args.column)
     column, schema = columns[idx], schemas[idx]
-    est = _column_estimator(schema, config)
+    est = _column_estimator(schema, args)
     with _rows_named(args.data, args.column):
         est.observe_many(column)
     lo = float(column.min()) if args.grid_min is None else args.grid_min
@@ -228,14 +205,14 @@ def _cmd_density(args):
             density.append(None)
     report = _base_report("density", args, names, columns, schemas)
     report["column"] = args.column
-    report["levels"] = config.levels
+    report["levels"] = args.levels
     report["grid"] = [float(g) for g in grid]
     report["density"] = density
     report["state"] = est.export_state()
-    _emit(report, config.output)
+    _emit(report, args.output)
 
 
-def _fit_columns(path, names, columns, schemas, wanted, config: RunConfig) -> dict:
+def _fit_columns(path, names, columns, schemas, wanted, args) -> dict:
     """FittedColumn of each distinct wanted column name, fitted in the order given."""
     fitted = {}
     for name in dict.fromkeys(wanted):
@@ -244,35 +221,43 @@ def _fit_columns(path, names, columns, schemas, wanted, config: RunConfig) -> di
         with _rows_named(path, name):
             fitted[name] = FittedColumn.fit(
                 columns[i], measure=schema.measure, center=schema.center, scale=schema.scale,
-                levels=config.levels, joint_levels=config.joint_levels,
+                levels=args.levels, joint_levels=args.joint_levels,
             )
     return fitted
 
 
+def _score(fitted, name_x, name_y, prior_p):
+    """score_pair of two fitted columns, its errors naming the pair."""
+    try:
+        return score_pair(fitted[name_x], fitted[name_y], prior_p)
+    except ValueError as exc:
+        raise ValueError(f"columns {name_x!r} and {name_y!r}: {exc}") from None
+
+
 def _cmd_indep(args):
-    config = RunConfig.from_args(args)
+    _parse_flags(args)
     names, columns = parse_dataset(args.data)
-    schemas = _resolve_schemas(names, columns, config)
+    schemas = _resolve_schemas(names, columns, args)
     for col in (args.col_x, args.col_y):
         if col not in names:
             raise DatasetError(f"unknown column {col!r}")
-    fitted = _fit_columns(args.data, names, columns, schemas, (args.col_x, args.col_y), config)
-    pair = score_pair(fitted[args.col_x], fitted[args.col_y], config.prior_p)
+    fitted = _fit_columns(args.data, names, columns, schemas, (args.col_x, args.col_y), args)
+    pair = _score(fitted, args.col_x, args.col_y, args.prior_p)
     report = _base_report("indep", args, names, columns, schemas)
     report["columns"] = [args.col_x, args.col_y]
     report["report"] = pair.to_dict()
-    _emit(report, config.output)
+    _emit(report, args.output)
 
 
 def _cmd_forest(args):
-    config = RunConfig.from_args(args)
+    _parse_flags(args)
     names, columns = parse_dataset(args.data)
-    schemas = _resolve_schemas(names, columns, config)
-    fitted = _fit_columns(args.data, names, columns, schemas, names, config)
+    schemas = _resolve_schemas(names, columns, args)
+    fitted = _fit_columns(args.data, names, columns, schemas, names, args)
     pair_table = {}
     pairs_out = []
     for name_x, name_y in combinations(names, 2):
-        pair = score_pair(fitted[name_x], fitted[name_y], config.prior_p)
+        pair = _score(fitted, name_x, name_y, args.prior_p)
         pair_table[(name_x, name_y)] = pair
         pairs_out.append({"columns": sorted((name_x, name_y)), **pair.to_dict()})
     pairs_out.sort(key=lambda entry: entry["columns"])
@@ -280,7 +265,7 @@ def _cmd_forest(args):
     report = _base_report("forest", args, names, columns, schemas)
     report["pairs"] = pairs_out
     report["edges"] = [{"columns": [e.u, e.v], "weight": e.weight} for e in edges]
-    _emit(report, config.output)
+    _emit(report, args.output)
 
 
 def _parse_column_specs(text: str) -> list:

@@ -7,6 +7,12 @@ over levels
 
     g^n(y^n) = sum_k w_k * Q_k(cells) / prod_i eta(cell_i).
 
+A pair of variables mixes over level pairs (j, k) of product cells, so one
+core serves both estimators: _Axis holds one variable's levels (cut points,
+cell alphabets, reference masses, sample gate) and _LevelMixture the weighted
+grid of KT states, one level per axis.  MixtureEstimator is the one-axis
+grid, joint.JointEstimator the two-axis grid; each keeps its own loops.
+
 Densities are Radon-Nikodym derivatives with respect to the configured
 measure.  A cell of infinite reference mass contributes density zero at its
 level (never an error): a finite probability spread over infinite mass has
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -32,6 +39,17 @@ from .partition import Partition
 __all__ = ["LevelWeights", "MixtureEstimator", "level_alphabet"]
 
 LOG2 = math.log(2.0)
+
+
+def _check_weights(values, kind: str):
+    """Raise ValueError unless the weights are positive, finite and sum to at most 1."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise ValueError(f"at least one {kind} weight is required")
+    if not (np.all(values > 0) and np.all(np.isfinite(values))):
+        raise ValueError(f"{kind} weights must be strictly positive and finite")
+    if values.sum() > 1 + 1e-12:
+        raise ValueError(f"{kind} weights must sum to at most 1")
 
 
 @dataclass(frozen=True)
@@ -46,13 +64,7 @@ class LevelWeights:
     values: tuple
 
     def __post_init__(self):
-        if not self.values:
-            raise ValueError("at least one level weight is required")
-        for w in self.values:
-            if not (w > 0 and math.isfinite(w)):
-                raise ValueError("level weights must be strictly positive and finite")
-        if sum(self.values) > 1 + 1e-12:
-            raise ValueError("level weights must sum to at most 1")
+        _check_weights(self.values, "level")
 
     def __len__(self):
         return len(self.values)
@@ -86,13 +98,6 @@ def level_alphabet(partition: Partition, measure: ReferenceMeasure, k: int):
     return alphabet
 
 
-def _check_refinement(partition: Partition):
-    """Raise ValueError unless the partition refines; batch fits depend on it."""
-    if not partition.verify_refinement():
-        raise ValueError("partition is not a refinement sequence: "
-                         "some level drops a cut point of the level before")
-
-
 def _merge_runs(symbols: np.ndarray, counts: np.ndarray):
     """(distinct symbols, summed counts) of a non-decreasing symbol array."""
     if symbols.size == 0:
@@ -118,7 +123,80 @@ def _logsumexp(values: np.ndarray) -> float:
     return hi + math.log(float(np.sum(np.exp(values - hi))))
 
 
-class MixtureEstimator:
+class _Axis:
+    """One variable's levels, built once, and its sample gate.
+
+    cuts, raw_to_alpha, log_eta and sizes hold per level the cut points, the
+    raw-cell-to-alphabet map, the log reference masses and the alphabet size.
+    """
+
+    def __init__(self, partition: Partition, measure: ReferenceMeasure):
+        if not partition.verify_refinement():
+            raise ValueError("partition is not a refinement sequence: "
+                             "some level drops a cut point of the level before")
+        self.partition, self.measure = partition, measure
+        levels = range(partition.max_level + 1)
+        self.cuts = [partition.level_map(k).cuts for k in levels]
+        self.raw_to_alpha, self.log_eta = zip(*(level_alphabet(partition, measure, k) for k in levels))
+        self.sizes = [log_eta.size for log_eta in self.log_eta]
+
+    def check(self, y: float, label: str = "value"):
+        if not (self.partition.in_support(y) and self.measure.in_support(y)):
+            raise OutOfSupportError(f"{label} {y!r} lies outside the support")
+
+    def mask(self, ys: np.ndarray) -> np.ndarray:
+        return self.partition.in_support_many(ys) & self.measure.in_support_many(ys)
+
+    def alphas(self, y: float) -> list:
+        """Alphabet index of y's cell at every level; -1 where the cell has no mass."""
+        return [int(r2a[int(np.searchsorted(cuts, y, side="left"))])
+                for r2a, cuts in zip(self.raw_to_alpha, self.cuts)]
+
+    def finest(self, ys: np.ndarray) -> np.ndarray:
+        """Raw finest-level cell of each sample."""
+        return np.searchsorted(self.cuts[-1], ys, side="left")
+
+    def ancestor_alphas(self, cells) -> list:
+        """Alphabet index at every level of raw finest-level cells (Partition.ancestors)."""
+        return [r2a[raws] for r2a, raws in zip(self.raw_to_alpha, self.partition.ancestors(cells))]
+
+
+class _LevelMixture:
+    """Weighted grid of KT states over product cells, one level per axis.
+
+    A grid point with an empty alphabet on some axis has no state and log
+    density -inf.  Each observation of a subclass ends with _advance.
+    """
+
+    def __init__(self, axes, weights):
+        shape = tuple(len(axis.sizes) for axis in axes)
+        grid = np.asarray(weights, dtype=float)
+        if grid.shape != shape:
+            raise ValueError(f"weight grid shape {grid.shape} does not match {shape}")
+        _check_weights(grid, "grid")
+        self._axes = axes
+        self.n = 0
+        self._log_w = np.log(grid)
+        sizes = reduce(np.multiply.outer, [np.asarray(axis.sizes, dtype=np.int64) for axis in axes])
+        states = [KtState(int(m)) if m else None for m in sizes.flat]
+        self._states = np.array(states, dtype=object).reshape(shape)
+        self._ld = np.where(sizes > 0, 0.0, -math.inf)
+
+    def _log_mixture(self) -> float:
+        return _logsumexp((self._log_w + self._ld).ravel())
+
+    def _advance(self, count: int, old: float) -> float:
+        """Count samples just folded in; the log-density increment since old."""
+        self.n += count
+        new = self._log_mixture()
+        return new - old if new > -math.inf else -math.inf
+
+    def log_density(self) -> float:
+        """Accumulated log g^n; equals log(sum of the weights) at n = 0."""
+        return self._log_mixture()
+
+
+class MixtureEstimator(_LevelMixture):
     """Sequential level-mixture estimator for one variable.
 
     Parameters
@@ -139,60 +217,25 @@ class MixtureEstimator:
         if weights is None:
             weights = LevelWeights.default(partition.max_level)
         if len(weights) != partition.max_level + 1:
-            raise ValueError(
-                f"{len(weights)} weights for {partition.max_level + 1} levels"
-            )
-        _check_refinement(partition)
-        self.partition = partition
-        self.measure = measure
-        self.weights = weights
-        self.n = 0
-        self._log_w = np.log(np.asarray(weights.values, dtype=float))
-        self._cuts = [partition.level_map(k).cuts for k in range(partition.max_level + 1)]
-        self._raw_to_alpha = []
-        self._log_eta = []
-        self._states: list[KtState | None] = []
-        self._lld = np.zeros(partition.max_level + 1)
-        for k in range(partition.max_level + 1):
-            raw_to_alpha, log_eta = level_alphabet(partition, measure, k)
-            self._raw_to_alpha.append(raw_to_alpha)
-            self._log_eta.append(log_eta)
-            if log_eta.size:
-                self._states.append(KtState(log_eta.size))
-            else:
-                self._states.append(None)
-                self._lld[k] = -math.inf
-
-    # -- internals ----------------------------------------------------------
-
-    def _log_mixture(self) -> float:
-        return _logsumexp(self._log_w + self._lld)
-
-    def _check_support(self, y: float):
-        if not (self.partition.in_support(y) and self.measure.in_support(y)):
-            raise OutOfSupportError(f"value {y!r} lies outside the support")
-
-    def _alpha_index(self, k: int, y: float) -> int:
-        raw = int(np.searchsorted(self._cuts[k], y, side="left"))
-        return int(self._raw_to_alpha[k][raw])
+            raise ValueError(f"{len(weights)} weights for {partition.max_level + 1} levels")
+        super().__init__((_Axis(partition, measure),), weights.values)
+        self.partition, self.measure, self.weights = partition, measure, weights
 
     # -- observation --------------------------------------------------------
 
     def observe(self, y: float) -> float:
         """Fold one sample in; returns the log predictive mixture density at y."""
         y = float(y)
-        self._check_support(y)
+        axis, = self._axes
+        axis.check(y)
         old = self._log_mixture()
-        for k in range(len(self._states)):
-            a = self._alpha_index(k, y)
+        for k, a in enumerate(axis.alphas(y)):
             if a < 0:
-                self._lld[k] = -math.inf
+                self._ld[k] = -math.inf
                 continue
             inc = self._states[k].observe(a)
-            self._lld[k] += inc - self._log_eta[k][a]
-        self.n += 1
-        new = self._log_mixture()
-        return new - old if new > -math.inf else -math.inf
+            self._ld[k] += inc - axis.log_eta[k][a]
+        return self._advance(1, old)
 
     def observe_many(self, ys) -> float:
         """Fold a batch in; returns the total log-density increment.
@@ -207,46 +250,39 @@ class MixtureEstimator:
             raise ValueError("sample batch must be one-dimensional")
         if ys.size == 0:
             return 0.0
-        ok = self.partition.in_support_many(ys) & self.measure.in_support_many(ys)
+        axis, = self._axes
+        ok = axis.mask(ys)
         if not ok.all():
             i = int(np.flatnonzero(~ok)[0])
             raise OutOfSupportError(f"value {float(ys[i])!r} lies outside the support", index=i)
         old = self._log_mixture()
-        finest = self._cuts[-1]
-        table = np.bincount(np.searchsorted(finest, ys, side="left"), minlength=finest.size + 1)
+        table = np.bincount(axis.finest(ys), minlength=axis.cuts[-1].size + 1)
         cells = np.flatnonzero(table)
         counts = table[cells]
-        for k, raws in enumerate(self.partition.ancestors(cells)):
-            alphas = self._raw_to_alpha[k][raws]
+        for k, alphas in enumerate(axis.ancestor_alphas(cells)):
             valid = alphas >= 0
             symbols, level_counts = _merge_runs(alphas[valid], counts[valid])
             state = self._states[k]
             inc = state.observe_counts(symbols, level_counts) if state is not None else 0.0
             if valid.all() and state is not None:
-                self._lld[k] += inc - _dot(level_counts, self._log_eta[k][symbols])
+                self._ld[k] += inc - _dot(level_counts, axis.log_eta[k][symbols])
             else:
-                self._lld[k] = -math.inf
-        self.n += ys.size
-        new = self._log_mixture()
-        return new - old if new > -math.inf else -math.inf
+                self._ld[k] = -math.inf
+        return self._advance(ys.size, old)
 
     # -- queries ------------------------------------------------------------
-
-    def log_density(self) -> float:
-        """Accumulated log g^n; equals log(sum of level weights) at n = 0."""
-        return self._log_mixture()
 
     def density_at(self, y: float) -> float:
         """One-step predictive mixture density at y, without mutating state."""
         y = float(y)
-        self._check_support(y)
+        axis, = self._axes
+        axis.check(y)
         candidate = np.empty(len(self._states))
-        for k, state in enumerate(self._states):
-            a = self._alpha_index(k, y)
+        for k, (state, a) in enumerate(zip(self._states, axis.alphas(y))):
             if state is None or a < 0:
                 candidate[k] = -math.inf
             else:
-                candidate[k] = self._lld[k] + state.log_predictive(a) - self._log_eta[k][a]
+                candidate[k] = self._ld[k] + state.log_predictive(a) - axis.log_eta[k][a]
         old = self._log_mixture()
         if old == -math.inf:
             return 0.0
@@ -264,7 +300,7 @@ class MixtureEstimator:
 
     def level_posterior(self) -> list:
         """Posterior weight of each level given the data; sums to 1."""
-        v = self._log_w + self._lld
+        v = self._log_w + self._ld
         total = _logsumexp(v)
         if total == -math.inf:
             raise ValueError("every level has zero density; no posterior exists")
@@ -272,17 +308,14 @@ class MixtureEstimator:
         return (p / p.sum()).tolist()
 
     def level_log_densities(self) -> np.ndarray:
-        return self._lld.copy()
+        return self._ld.copy()
 
     def export_state(self) -> dict:
         """JSON-friendly snapshot: sample count, per-level counts and log densities."""
-        levels = []
-        for k, state in enumerate(self._states):
-            entry = {
-                "level": k,
-                "alphabet_size": state.alphabet_size if state is not None else 0,
-                "counts": {str(s): c for s, c in sorted(state.counts.items())} if state is not None else {},
-                "log_density": float(self._lld[k]),
-            }
-            levels.append(entry)
+        levels = [{
+            "level": k,
+            "alphabet_size": state.alphabet_size if state is not None else 0,
+            "counts": {str(s): c for s, c in sorted(state.counts.items())} if state is not None else {},
+            "log_density": float(self._ld[k]),
+        } for k, state in enumerate(self._states)]
         return {"n": self.n, "log_mixture_density": self._log_mixture(), "levels": levels}

@@ -1,10 +1,10 @@
 """Two-variable density estimation, independence decisions, and forests.
 
-The joint estimator runs one KT state per grid point (j, k) over the product
-cell alphabet of level j for x and level k for y, divides by the product of
-the reference masses, and mixes with positive grid weights summing to at most
-one.  Comparing the joint codelength with the two marginal codelengths gives
-the Bayes factor
+JointEstimator is the two-axis grid of the level-mixture core in estimator.py:
+one KT state per level pair (j, k) over the product cells of level j for x and
+level k for y, divided by the product of the reference masses and mixed with
+positive grid weights summing to at most one.  Comparing the joint codelength
+with the two marginal codelengths gives the Bayes factor
 
     log BF = log p + log g_x + log g_y - log(1 - p) - log g_xy
 
@@ -21,14 +21,13 @@ g_x and g_y do not depend on the pair, so each column is fitted once
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import default_scale
-from .estimator import (LevelWeights, MixtureEstimator, _check_refinement, _dot, _logsumexp,
-                        _merge_runs, level_alphabet)
+from .estimator import LevelWeights, MixtureEstimator, _Axis, _dot, _LevelMixture, _merge_runs
 from .kt import KtState
 from .measure import LebesgueMeasure, OutOfSupportError, ReferenceMeasure
 from .partition import DEFAULT_MAX_LEVEL, HistogramSequence, Partition
@@ -47,13 +46,7 @@ __all__ = [
 DEFAULT_JOINT_LEVEL = 8
 
 
-def _product_weights(levels_x: int, levels_y: int) -> np.ndarray:
-    wx = np.asarray(LevelWeights.default(levels_x).values)
-    wy = np.asarray(LevelWeights.default(levels_y).values)
-    return np.outer(wx, wy)
-
-
-class JointEstimator:
+class JointEstimator(_LevelMixture):
     """Level-grid mixture estimator for a pair of variables.
 
     weights is a 2D array of shape (levels_x+1, levels_y+1); the default is
@@ -63,68 +56,31 @@ class JointEstimator:
     def __init__(self, partition_x: Partition, partition_y: Partition,
                  measure_x: ReferenceMeasure, measure_y: ReferenceMeasure,
                  weights=None):
-        jmax, kmax = partition_x.max_level, partition_y.max_level
-        shape = (jmax + 1, kmax + 1)
         if weights is None:
-            grid = _product_weights(jmax, kmax)
-        else:
-            grid = np.asarray(weights, dtype=float)
-            if grid.shape != shape:
-                raise ValueError(f"weight grid shape {grid.shape} does not match {shape}")
-        if not np.all(grid > 0) or not np.all(np.isfinite(grid)):
-            raise ValueError("grid weights must be strictly positive and finite")
-        if grid.sum() > 1 + 1e-12:
-            raise ValueError("grid weights must sum to at most 1")
-
-        _check_refinement(partition_x)
-        _check_refinement(partition_y)
+            weights = np.outer(LevelWeights.default(partition_x.max_level).values,
+                               LevelWeights.default(partition_y.max_level).values)
+        super().__init__((_Axis(partition_x, measure_x), _Axis(partition_y, measure_y)), weights)
         self.partition_x, self.partition_y = partition_x, partition_y
         self.measure_x, self.measure_y = measure_x, measure_y
-        self.n = 0
-        self._log_w = np.log(grid)
-        self._gld = np.zeros(shape)
-        self._axis_x = [level_alphabet(partition_x, measure_x, j) for j in range(jmax + 1)]
-        self._axis_y = [level_alphabet(partition_y, measure_y, k) for k in range(kmax + 1)]
-        self._cuts_x = [partition_x.level_map(j).cuts for j in range(jmax + 1)]
-        self._cuts_y = [partition_y.level_map(k).cuts for k in range(kmax + 1)]
-        self._mx = [log_eta.size for _, log_eta in self._axis_x]
-        self._my = [log_eta.size for _, log_eta in self._axis_y]
-        self._states: dict[tuple, KtState] = {}
-        for j in range(jmax + 1):
-            for k in range(kmax + 1):
-                if self._mx[j] and self._my[k]:
-                    self._states[(j, k)] = KtState(self._mx[j] * self._my[k])
-                else:
-                    self._gld[j, k] = -math.inf
-
-    def _log_mixture(self) -> float:
-        return _logsumexp((self._log_w + self._gld).ravel())
-
-    def _check_support(self, x: float, y: float):
-        if not (self.partition_x.in_support(x) and self.measure_x.in_support(x)):
-            raise OutOfSupportError(f"x value {x!r} lies outside the support")
-        if not (self.partition_y.in_support(y) and self.measure_y.in_support(y)):
-            raise OutOfSupportError(f"y value {y!r} lies outside the support")
 
     def observe(self, x: float, y: float) -> float:
         """Fold one pair in; returns the log predictive mixture density."""
         x, y = float(x), float(y)
-        self._check_support(x, y)
+        axis_x, axis_y = self._axes
+        axis_x.check(x, "x value")
+        axis_y.check(y, "y value")
         old = self._log_mixture()
-        ax = [int(r2a[int(np.searchsorted(c, x, side="left"))])
-              for (r2a, _), c in zip(self._axis_x, self._cuts_x)]
-        ay = [int(r2a[int(np.searchsorted(c, y, side="left"))])
-              for (r2a, _), c in zip(self._axis_y, self._cuts_y)]
-        for (j, k), state in self._states.items():
+        ax, ay = axis_x.alphas(x), axis_y.alphas(y)
+        for (j, k), state in np.ndenumerate(self._states):
+            if state is None:
+                continue
             a, b = ax[j], ay[k]
             if a < 0 or b < 0:
-                self._gld[j, k] = -math.inf
+                self._ld[j, k] = -math.inf
                 continue
-            inc = state.observe(a * self._my[k] + b)
-            self._gld[j, k] += inc - self._axis_x[j][1][a] - self._axis_y[k][1][b]
-        self.n += 1
-        new = self._log_mixture()
-        return new - old if new > -math.inf else -math.inf
+            inc = state.observe(a * axis_y.sizes[k] + b)
+            self._ld[j, k] += inc - axis_x.log_eta[j][a] - axis_y.log_eta[k][b]
+        return self._advance(1, old)
 
     def observe_many(self, xs, ys) -> float:
         """Fold a batch of pairs in; equivalent to observe() loops up to rounding.
@@ -139,51 +95,43 @@ class JointEstimator:
             raise ValueError("paired batches must be equal-length one-dimensional arrays")
         if xs.size == 0:
             return 0.0
-        ok = (self.partition_x.in_support_many(xs) & self.measure_x.in_support_many(xs)
-              & self.partition_y.in_support_many(ys) & self.measure_y.in_support_many(ys))
+        axis_x, axis_y = self._axes
+        ok = axis_x.mask(xs) & axis_y.mask(ys)
         if not ok.all():
             i = int(np.flatnonzero(~ok)[0])
             raise OutOfSupportError(
                 f"pair ({float(xs[i])!r}, {float(ys[i])!r}) lies outside the support", index=i)
         old = self._log_mixture()
-        ny = self._cuts_y[-1].size + 1
-        codes = (np.searchsorted(self._cuts_x[-1], xs, side="left") * ny
-                 + np.searchsorted(self._cuts_y[-1], ys, side="left"))
-        pairs, counts = np.unique(codes, return_counts=True)
+        ny = axis_y.cuts[-1].size + 1
+        pairs, counts = np.unique(axis_x.finest(xs) * ny + axis_y.finest(ys), return_counts=True)
         cells_x, cells_y = np.divmod(pairs, ny)
-        ax = [r2a[raws] for (r2a, _), raws in zip(self._axis_x, self.partition_x.ancestors(cells_x))]
-        ay = [r2a[raws] for (r2a, _), raws in zip(self._axis_y, self.partition_y.ancestors(cells_y))]
-        for j, a_all in enumerate(ax):
+        ay = axis_y.ancestor_alphas(cells_y)
+        for j, a_all in enumerate(axis_x.ancestor_alphas(cells_x)):
             # Sorted by (level-j x cell, finest y cell), the valid symbols
             # a * m_y + b of every level k come out non-decreasing.
             order = np.lexsort((cells_y, a_all))
             a, c = a_all[order], counts[order]
             for k, b_all in enumerate(ay):
-                state = self._states.get((j, k))
+                state = self._states[j, k]
                 if state is None:
                     continue
                 b = b_all[order]
                 valid = (a >= 0) & (b >= 0)
-                symbols, cell_counts = _merge_runs(a[valid] * self._my[k] + b[valid], c[valid])
+                symbols, cell_counts = _merge_runs(a[valid] * axis_y.sizes[k] + b[valid], c[valid])
                 inc = state.observe_counts(symbols, cell_counts)
                 if valid.all():
-                    eta = _dot(c, self._axis_x[j][1][a] + self._axis_y[k][1][b])
-                    self._gld[j, k] += inc - eta
+                    eta = _dot(c, axis_x.log_eta[j][a] + axis_y.log_eta[k][b])
+                    self._ld[j, k] += inc - eta
                 else:
-                    self._gld[j, k] = -math.inf
-        self.n += xs.size
-        new = self._log_mixture()
-        return new - old if new > -math.inf else -math.inf
-
-    def log_density(self) -> float:
-        return self._log_mixture()
+                    self._ld[j, k] = -math.inf
+        return self._advance(xs.size, old)
 
     def grid_state(self, j: int, k: int) -> KtState | None:
         """KT state of one grid point; None when that grid point has no alphabet."""
-        return self._states.get((j, k))
+        return self._states[j, k]
 
     def grid_log_densities(self) -> np.ndarray:
-        return self._gld.copy()
+        return self._ld.copy()
 
 
 @dataclass(frozen=True)
@@ -199,15 +147,7 @@ class PairReport:
     prior_p: float
 
     def to_dict(self) -> dict:
-        return {
-            "log_gx": self.log_gx,
-            "log_gy": self.log_gy,
-            "log_gxy": self.log_gxy,
-            "log_bayes_factor": self.log_bayes_factor,
-            "mi_per_sample": self.mi_per_sample,
-            "decision": self.decision,
-            "prior_p": self.prior_p,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,7 +209,9 @@ def score_pair(fx: FittedColumn, fy: FittedColumn, prior_p: float = 0.5) -> Pair
     joint.observe_many(fx.values, fy.values)
     log_gxy = joint.log_density()
     if log_gxy == -math.inf:
-        raise ValueError("the joint estimator collapsed to zero density on this data")
+        raise ValueError("the joint estimator collapsed to zero density on this data: its bounded "
+                         "cells end at center ± (joint_levels - 1)·scale, and one value beyond them "
+                         "can leave no grid level alive; a larger joint_levels (--joint-levels) helps")
     log_bf = math.log(prior_p) + log_gx + log_gy - math.log(1 - prior_p) - log_gxy
     return PairReport(
         log_gx=log_gx,

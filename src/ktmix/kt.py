@@ -46,13 +46,10 @@ class KtState:
         self.total = 0
         self.log_prob = 0.0
 
-    def _check_symbol(self, symbol: int):
-        if not 0 <= symbol < self.alphabet_size:
-            raise ValueError(f"symbol {symbol} out of range for alphabet of {self.alphabet_size}")
-
     def predictive(self, symbol: int) -> float:
         """(c[x] + 1/2) / (n + m/2); does not mutate the state."""
-        self._check_symbol(symbol)
+        if not 0 <= symbol < self.alphabet_size:
+            raise ValueError(f"symbol {symbol} out of range for alphabet of {self.alphabet_size}")
         return (self.counts.get(symbol, 0) + 0.5) / (self.total + 0.5 * self.alphabet_size)
 
     def log_predictive(self, symbol: int) -> float:

@@ -142,11 +142,6 @@ class Interval:
             self._admits_upper(up) and other._admits_upper(up),
         )
 
-    def __str__(self):
-        left = "[" if self.lower_closed else "("
-        right = "]" if self.upper_closed else ")"
-        return f"{left}{self.lower}, {self.upper}{right}"
-
 
 def _integer_range(cell: Interval) -> tuple[float, float]:
     """Smallest and largest integers inside the cell; hi < lo means empty."""
@@ -194,11 +189,6 @@ class ReferenceMeasure:
     def to_config(self) -> dict:
         raise NotImplementedError
 
-    def __add__(self, other):
-        if isinstance(other, ReferenceMeasure):
-            return sum_measure(self, other)
-        return NotImplemented
-
 
 @dataclass(frozen=True)
 class LebesgueMeasure(ReferenceMeasure):
@@ -232,7 +222,8 @@ class CountingMeasure(ReferenceMeasure):
     Rule-generated variants evaluate tail masses in closed form: "unit" puts
     weight 1 on every integer of the domain, "harmonic-telescoping" puts
     weight 1/(h(h+1)) on each natural h, so any interval mass telescopes to
-    1/a - 1/(b+1).
+    1/a - 1/(b+1), evaluated as (b + 1 - a) / (b + 1) / a so that it does not
+    cancel for large naturals.
     """
 
     atoms: tuple = ()
@@ -295,7 +286,7 @@ class CountingMeasure(ReferenceMeasure):
             if lo > hi:
                 return 0.0
             if self.rule == RULE_HARMONIC:
-                return 1.0 / lo - (0.0 if math.isinf(hi) else 1.0 / (hi + 1))
+                return 1.0 / lo if math.isinf(hi) else (hi + 1 - lo) / (hi + 1) / lo
             if math.isinf(lo) or math.isinf(hi):
                 return INF
             return float(hi - lo + 1)
@@ -313,8 +304,8 @@ class CountingMeasure(ReferenceMeasure):
                 a = np.maximum(a, 1.0)
             with np.errstate(invalid="ignore", divide="ignore"):
                 if self.rule == RULE_HARMONIC:
-                    tail = np.where(np.isinf(b), 0.0, 1.0 / (b + 1.0))
-                    return np.where(a > b, 0.0, 1.0 / a - tail)
+                    mass = np.where(np.isinf(b), 1.0 / a, (b + 1.0 - a) / (b + 1.0) / a)
+                    return np.where(a > b, 0.0, mass)
                 count = np.where(np.isinf(b) | np.isinf(a), INF, b - a + 1.0)
                 return np.where(a > b, 0.0, count)
         atoms = np.asarray(self.atoms, dtype=float)

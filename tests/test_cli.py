@@ -332,3 +332,19 @@ class TestErrors:
         code, _, err = run_cli(capsys, "codelength", str(path))
         assert code == 1
         assert "row 2, column 'b'" in err
+
+    @pytest.mark.parametrize("argv", [("forest",), ("indep", "a", "b")])
+    def test_collapsed_joint_names_its_pair(self, tmp_path, capsys, argv):
+        # b = a^2 reaches 10.3 scale units from its mean, past the bounded
+        # cells of the default joint depth 8 (center +- 7 scale).
+        a = np.random.default_rng(0).standard_normal(4096)
+        path = tmp_path / "square.csv"
+        path.write_text("a,b\n" + "".join(f"{float(v)!r},{float(v * v)!r}\n" for v in a))
+        code, _, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 1
+        assert err.startswith("error: columns 'a' and 'b': the joint estimator collapsed "
+                              "to zero density on this data: ")
+        assert "center ± (joint_levels - 1)·scale" in err
+        assert "--joint-levels" in err
+        code, _, err = run_cli(capsys, argv[0], str(path), *argv[1:], "--joint-levels", "12")
+        assert code == 0, err

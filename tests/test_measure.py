@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -105,6 +106,18 @@ class TestCounting:
     def test_harmonic_total_mass_is_one(self):
         m = CountingMeasure.harmonic_naturals()
         assert m.measure_of(Interval.real_line()) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("lo, hi", [(1e5 - 1, 1e5), (1e7 - 1, 1e7), (1e9 - 1, 1e9),
+                                        (3.0, 1e7), (1e6, 2e6)])
+    def test_harmonic_mass_of_large_naturals_does_not_cancel(self, lo, hi):
+        # The mass of (lo, hi] is 1/(lo+1) - 1/(hi+1); as a float difference
+        # it kept only ~6 digits at h = 1e9.
+        exact = Fraction(1, int(lo) + 1) - Fraction(1, int(hi) + 1)
+        m = CountingMeasure.harmonic_naturals()
+        got = (m.measure_of(Interval.half_open(lo, hi)),
+               float(m.masses_half_open([lo], [hi])[0]))
+        for value in got:
+            assert abs(Fraction(value) - exact) <= exact * Fraction(1, 10**15)
 
     def test_unit_integers(self):
         m = CountingMeasure.unit_integers()

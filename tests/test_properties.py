@@ -4,7 +4,8 @@ Batch fits equal sequential observe() loops: the batch paths score count
 tables in closed form over the refinement tree; the sequential paths run the
 one-step KT recursion sample by sample.  Both must leave identical counts and
 agree on log densities within the bounds of the fixed-example tests (1e-9
-marginal, 1e-10 joint).  Also: every measure prices a half-open cell the same
+marginal, 1e-10 joint).  A joint whose y axis is one cell of mass 1 is the
+marginal of x at half the weight.  Also: every measure prices a half-open cell the same
 through measure_of and masses_half_open; the whole marginal and joint
 mixtures satisfy Kraft equality over weighted atoms; column-kind inference
 from one sort follows the stated rules; and the vectorized dataset reader
@@ -142,6 +143,31 @@ def test_joint_batch_equals_sequential(x, y, cuts):
                 assert m.counts == s.counts
     assert_same_levels(mixed.grid_log_densities(), seq.grid_log_densities(), 1e-10)
     assert_same_levels(mixed.log_density(), seq.log_density(), 1e-10)
+
+
+@given(column=columns())
+def test_joint_with_a_one_cell_axis_is_the_marginal(column):
+    # y = 0 on the one cell of a unit atom: the grid state (j, 0) codes the
+    # level-j cells of x against mass 1, under the weight w_j * 1/2.
+    partition, measure, xs = column
+    atom = CountingMeasure.from_atoms([0.0])
+    py = HistogramSequence(0, 1, support=atom, max_level=0)
+    for batch in (True, False):
+        marginal = MixtureEstimator(partition, measure)
+        joint = JointEstimator(partition, py, measure, atom)
+        if batch:
+            marginal.observe_many(xs)
+            joint.observe_many(xs, np.zeros_like(xs))
+        else:
+            for x in xs.tolist():
+                marginal.observe(x)
+                joint.observe(x, 0.0)
+        want, got = marginal.level_log_densities(), joint.grid_log_densities()[:, 0]
+        live = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), live)
+        np.testing.assert_allclose(got[live], want[live], rtol=1e-12, atol=0)
+        assert math.isclose(joint.log_density(), marginal.log_density() + math.log(0.5),
+                            rel_tol=1e-12)
 
 
 @given(column=columns(max_size=1), drop=st.integers(0, 10**6))
