@@ -82,6 +82,8 @@ class ColumnSchema:
 # holding one leaves the vectorized reader, which splits at "\n" only.
 _OTHER_LINE_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e",
                       "\x85".encode(), "\u2028".encode(), "\u2029".encode())
+# The multi-byte breaks are made of non-ASCII bytes, so an ASCII block holds none.
+_ASCII_LINE_BREAKS = tuple(brk for brk in _OTHER_LINE_BREAKS if brk.isascii())
 
 # The vectorized reader holds one block of whole lines of this many bytes,
 # and its parsed table, besides the output columns.
@@ -94,7 +96,8 @@ def parse_dataset(path) -> tuple[list, list]:
     A well-formed file is read by np.loadtxt, a block of lines at a time,
     straight into the output columns.  Anything it might read differently
     from the cell-by-cell reader, or cannot read, goes to that reader, which
-    produces the same arrays and the row-and-column error.
+    produces the same arrays and the row-and-column error.  The file is
+    UTF-8; one byte-order mark before the header is skipped.
     """
     fast = _parse_table(path)
     return fast if fast is not None else _parse_cells(path)
@@ -120,8 +123,9 @@ def _scan_table(path):
     newlines = 0
     block = b""
     for block in _line_blocks(path):
+        breaks = _ASCII_LINE_BREAKS if block.isascii() else _OTHER_LINE_BREAKS
         if (header is not None and block.startswith(b"\n")) or b"\n\n" in block \
-                or any(brk in block for brk in _OTHER_LINE_BREAKS):
+                or any(brk in block for brk in breaks):
             return None
         if header is None:
             header = block.split(b"\n", 1)[0]
@@ -130,7 +134,7 @@ def _scan_table(path):
     if data_lines < 1:
         return None
     try:
-        names = [name.strip() for name in header.decode("utf-8").split(",")]
+        names = [name.strip() for name in header.decode("utf-8-sig").split(",")]
     except UnicodeDecodeError:
         return None
     if not all(names) or len(set(names)) != len(names):
@@ -169,8 +173,14 @@ def _parse_table(path):
 
 def _parse_cells(path) -> tuple[list, list]:
     """parse_dataset one cell at a time; its errors name the offending row and column."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode("utf-8-sig").splitlines()
+    except UnicodeDecodeError as exc:
+        # The row holding the bad byte is one more than the lines before it.
+        row = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
+        raise DatasetError(f"{path}: row {row} is not valid UTF-8") from None
     if not lines:
         raise DatasetError(f"{path}: empty file")
     names = [name.strip() for name in lines[0].split(",")]

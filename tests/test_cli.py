@@ -130,6 +130,13 @@ class TestSchemaRoundTrip:
         assert entry["center"] == 0.25
         assert entry["scale"] == 2.0
 
+    def test_byte_order_mark_is_not_part_of_a_column_name(self, tmp_path, capsys):
+        path = tmp_path / "exported.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\n1.5,2\n-3,4\n0.5,7\n")
+        code, out, err = run_cli(capsys, "codelength", str(path), "--mu", "a=0")
+        assert code == 0, err
+        assert [s["name"] for s in json.loads(out)["schema"]] == ["a", "b"]
+
 
 class TestIndepAndForest:
     def test_duplicated_column_decided_dependent(self, dataset, capsys):
@@ -332,6 +339,13 @@ class TestErrors:
         code, _, err = run_cli(capsys, "codelength", str(path))
         assert code == 1
         assert "row 2, column 'b'" in err
+
+    def test_invalid_utf8_names_its_row(self, tmp_path, capsys):
+        path = tmp_path / "broken.csv"
+        path.write_bytes(b"a,b\n1.0,2.0\n\xff1,3\n")
+        code, _, err = run_cli(capsys, "codelength", str(path))
+        assert code == 1
+        assert err == f"error: {path}: row 3 is not valid UTF-8\n"
 
     @pytest.mark.parametrize("argv", [("forest",), ("indep", "a", "b")])
     def test_collapsed_joint_names_its_pair(self, tmp_path, capsys, argv):

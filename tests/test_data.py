@@ -85,6 +85,7 @@ class TestVectorizedReader:
 
     @pytest.mark.parametrize("text, error", [
         ("a,b\r\n1,2\r\n3,4\r\n", None),
+        (b"a,b\n1.0,2.0\n\xff1,3\n", r"row 3 is not valid UTF-8"),
         ("a\n1\n\n2\n", r"missing value at row 3, column 'a'"),
         ("a,b\n\n", r"row 2 has 1 cells, expected 2"),
         ("a\n1\x0c\n", r"missing value at row 3, column 'a'"),
@@ -96,7 +97,7 @@ class TestVectorizedReader:
     @pytest.mark.filterwarnings("error")        # loadtxt warns on a file of blank lines
     def test_other_files_go_to_the_cell_reader(self, tmp_path, text, error):
         path = tmp_path / "data.csv"
-        path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         assert _parse_table(str(path)) is None
         if error is None:
             names, columns = parse_dataset(str(path))
@@ -123,6 +124,30 @@ class TestVectorizedReader:
             path = tmp_path / "bad.csv"
             path.write_bytes(bad.encode("utf-8"))
             assert _parse_table(str(path)) is None, bad
+
+    @pytest.mark.filterwarnings("error")
+    def test_ascii_blocks_still_catch_the_ascii_line_breaks(self, tmp_path, monkeypatch):
+        # A non-ASCII header makes the first block non-ASCII and, with small
+        # blocks, the data blocks after it ASCII.
+        path = tmp_path / "data.csv"
+        for block_bytes in (8, 1 << 18):
+            monkeypatch.setattr(data_module, "_BLOCK_BYTES", block_bytes)
+            path.write_bytes("µ,b\n1.5,2\n-3,4e-1\n5,6\n".encode("utf-8"))
+            names, columns = _parse_table(str(path))
+            want = _parse_cells(str(path))
+            assert names == want[0] == ["µ", "b"]
+            assert [c.tolist() for c in columns] == [c.tolist() for c in want[1]]
+        monkeypatch.setattr(data_module, "_BLOCK_BYTES", 8)
+        for rest in ("1,2\n3,4\x0c\n", "1,2\n3,4\r\n", "1,2\n3\u2028,4\n"):
+            path.write_bytes(("µ,b\n" + rest).encode("utf-8"))
+            assert _parse_table(str(path)) is None, rest
+
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        path = write(tmp_path, "\ufeffa,b\n1.5,2\n-3,4e-1\n")
+        names, columns = _parse_table(path)
+        want = _parse_cells(path)
+        assert names == want[0] == ["a", "b"]
+        assert [c.tolist() for c in columns] == [c.tolist() for c in want[1]] == [[1.5, -3], [2, 0.4]]
 
     def test_peak_memory_is_the_columns_plus_one_block(self, tmp_path, monkeypatch):
         monkeypatch.setattr(data_module, "_BLOCK_BYTES", 1 << 14)

@@ -8,8 +8,9 @@ marginal, 1e-10 joint).  A joint whose y axis is one cell of mass 1 is the
 marginal of x at half the weight.  Also: every measure prices a half-open cell the same
 through measure_of and masses_half_open; the whole marginal and joint
 mixtures satisfy Kraft equality over weighted atoms; column-kind inference
-from one sort follows the stated rules; and the vectorized dataset reader
-agrees with the cell-by-cell one, errors included.
+from one sort follows the stated rules; the finest-level count table read off
+a sorted batch equals the per-sample binning; and the vectorized dataset
+reader agrees with the cell-by-cell one, errors included.
 """
 
 import itertools
@@ -22,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ktmix.data import _kind_and_atoms, _parse_cells, parse_dataset
-from ktmix.estimator import MixtureEstimator
+from ktmix.estimator import MixtureEstimator, _Axis
 from ktmix.joint import JointEstimator
 from ktmix.kt import KtState, kt_log_prob_closed_form
 from ktmix.measure import CountingMeasure, Interval, LebesgueMeasure, scaled, sum_measure
@@ -180,6 +181,53 @@ def test_histogram_cuts_refine_and_a_dropped_cut_breaks_it(column, drop):
         broken = [np.asarray(c) for c in levels]
         broken[k + 1] = np.setdiff1d(broken[k + 1], [broken[k][drop % broken[k].size]])
         assert not CustomPartition(broken).verify_refinement()
+
+
+@st.composite
+def binned_batches(draw):
+    """(partition, samples) whose samples sit on and next to the finest cut points.
+
+    The samples are cut points and their float neighbours, both zeros, the
+    band edges center + i*scale, points in both tails and arbitrary floats,
+    each repeated up to three times.
+    """
+    if draw(st.booleans()):
+        center, scale = draw(st.floats(-50, 50)), draw(st.floats(0.01, 20))
+        depth = draw(st.integers(0, 16))
+        partition = HistogramSequence(center, scale, max_level=depth)
+        edges = [center + i * scale for i in range(-depth - 1, depth + 2)]
+    else:
+        depth = draw(st.integers(1, 8))
+        partition = CustomPartition([np.arange(1, 2**k) / 2**k for k in range(1, depth + 1)])
+        edges = [0.0, 1.0]
+    cuts = partition.level_map(depth).cuts
+
+    def near_cut(i, toward):
+        cut = cuts[i % cuts.size]
+        return float(cut if toward == 0 else np.nextafter(cut, toward))
+
+    on_cut = st.builds(near_cut, st.integers(0, 2**16), st.sampled_from([0, -math.inf, math.inf]))
+    value = st.one_of(on_cut if cuts.size else st.nothing(),
+                      st.sampled_from([0.0, -0.0, *edges, -1e300, 1e300]),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    picks = draw(st.lists(st.tuples(value, st.integers(1, 3)), min_size=1, max_size=40))
+    values, repeats = zip(*picks)
+    return partition, np.repeat(np.array(values), repeats)
+
+
+@given(binned_batches())
+@example((HistogramSequence(0.0, 1.0, max_level=3), np.array([0.0])))
+def test_finest_count_table_equals_the_binned_samples(batch):
+    partition, ys = batch
+    axis = _Axis(partition, LebesgueMeasure())
+    cuts = axis.cuts[-1]
+    given_ys = ys.copy()
+    table = axis.finest_counts(ys)
+    want = np.bincount(np.searchsorted(cuts, ys, side="left"), minlength=cuts.size + 1)
+    assert table.dtype == want.dtype
+    np.testing.assert_array_equal(table, want)
+    np.testing.assert_array_equal(ys, given_ys)           # not sorted in place
+    np.testing.assert_array_equal(np.signbit(ys), np.signbit(given_ys))
 
 
 # Cell ends stay where float64 counts integers exactly, so the counting
