@@ -41,7 +41,6 @@ from .data import (
     ColumnSchema,
     DatasetError,
     build_schema,
-    infer_column_kind,
     parse_dataset,
 )
 
@@ -77,6 +76,5 @@ __all__ = [
     "ColumnSchema",
     "DatasetError",
     "parse_dataset",
-    "infer_column_kind",
     "build_schema",
 ]

@@ -21,8 +21,8 @@ import argparse
 import json
 import math
 import os
+import secrets
 import sys
-import tempfile
 from contextlib import contextmanager
 from itertools import combinations
 
@@ -48,9 +48,6 @@ def _parse_flags(args):
         raise ValueError("level counts must be nonnegative")
     if not 0 < getattr(args, "prior_p", 0.5) < 1:
         raise ValueError("prior-p must lie strictly between 0 and 1")
-    for name, value in args.sigma.items():
-        if not (value > 0 and math.isfinite(value)):
-            raise ValueError(f"sigma override for column {name!r} must be positive")
 
 
 def _parse_assignments(pairs, cast, flag):
@@ -93,8 +90,9 @@ def _emit(report: dict, output: str | None):
 
 
 def _atomic_write(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ktmix-")
+    """Write path by a rename; the file gets mode 0o666 less the umask, as from a shell redirect."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".ktmix-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -105,14 +103,28 @@ def _atomic_write(path: str, text: str):
         raise
 
 
+# What a JSON document of the wrong shape raises on its way into a schema or partition.
+_MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
+
+
+def _reason(exc: Exception) -> str:
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
 def _resolve_schemas(names, columns, args) -> list:
     overrides = {}
     if args.schema:
         with open(args.schema, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
-        entries = loaded["columns"] if isinstance(loaded, dict) else loaded
-        for entry in entries:
-            overrides[entry["name"]] = ColumnSchema.from_config(entry)
+        entries = loaded.get("columns") if isinstance(loaded, dict) else loaded
+        if not isinstance(entries, list):
+            raise DatasetError(f"--schema {args.schema}: expected a list of column entries")
+        for i, entry in enumerate(entries):
+            try:
+                schema = ColumnSchema.from_config(entry)
+            except _MALFORMED as exc:
+                raise DatasetError(f"--schema {args.schema}: column entry {i}: {_reason(exc)}") from None
+            overrides[schema.name] = schema
     for flag, mapping in (("--mu", args.mu), ("--sigma", args.sigma),
                           ("--schema", overrides), ("--partition", args.partition)):
         for name in mapping:
@@ -125,6 +137,12 @@ def _resolve_schemas(names, columns, args) -> list:
             schema.center = args.mu[name]
         if name in args.sigma:
             schema.scale = args.sigma[name]
+        if not math.isfinite(schema.center):
+            raise DatasetError(f"column {name!r}: histogram center {schema.center!r} is not "
+                               f"finite; give one with --mu {name}=VALUE")
+        if not (schema.scale > 0 and math.isfinite(schema.scale)):
+            raise DatasetError(f"column {name!r}: histogram scale {schema.scale!r} is not "
+                               f"positive and finite; give one with --sigma {name}=VALUE")
         schemas.append(schema)
     return schemas
 
@@ -144,14 +162,11 @@ def _column_estimator(schema: ColumnSchema, args) -> MixtureEstimator:
     path = args.partition.get(schema.name)
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            cut_levels = json.load(fh)
-        try:
-            return MixtureEstimator(CustomPartition(cut_levels, support=schema.measure), schema.measure)
-        except ValueError as exc:
-            raise DatasetError(f"custom partition for {schema.name!r}: {exc}") from None
-    partition = HistogramSequence(
-        schema.center, schema.scale, support=schema.measure, max_level=args.levels
-    )
+            try:
+                return MixtureEstimator(CustomPartition(json.load(fh)), schema.measure)
+            except _MALFORMED as exc:
+                raise DatasetError(f"custom partition for {schema.name!r}: {_reason(exc)}") from None
+    partition = HistogramSequence(schema.center, schema.scale, max_level=args.levels)
     return MixtureEstimator(partition, schema.measure)
 
 

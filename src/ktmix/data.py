@@ -30,7 +30,6 @@ __all__ = [
     "DatasetError",
     "ColumnSchema",
     "parse_dataset",
-    "infer_column_kind",
     "build_schema",
     "default_scale",
 ]
@@ -235,44 +234,29 @@ def _kind_and_atoms(values: np.ndarray) -> tuple[str, np.ndarray]:
     return "continuous", atoms
 
 
-def infer_column_kind(values) -> str:
-    """Classify a column as discrete, continuous, or mixed.
-
-    Discrete: all integers with at most max(20, sqrt(n)) distinct values.
-    Mixed: some value repeats in more than 5% of rows while the remaining
-    values are non-integer.  Continuous otherwise.
-    """
-    return _kind_and_atoms(np.asarray(values, dtype=float))[0]
-
-
-def _default_measure(kind: str, atoms: np.ndarray) -> ReferenceMeasure:
-    if kind == "discrete":
-        return CountingMeasure.unit_integers()
-    if kind == "continuous":
-        return LebesgueMeasure()
-    return sum_measure(LebesgueMeasure(), CountingMeasure.from_atoms(atoms))
-
-
 def default_scale(values) -> float:
     """Histogram scale when none is given: the standard deviation, or 1 for a constant column."""
     s = float(np.std(values))
     return s if s > 0 else 1.0
 
 
-def build_schema(name: str, values, *, kind: str | None = None,
-                 measure: ReferenceMeasure | None = None,
-                 center: float | None = None, scale: float | None = None) -> ColumnSchema:
-    """Schema for one column, inferring whatever was not overridden."""
+def build_schema(name: str, values) -> ColumnSchema:
+    """Schema for one column, inferred from its values.
+
+    Discrete: all integers with at most max(20, sqrt(n)) distinct values.
+    Mixed: some value repeats in more than 5% of rows while the remaining
+    values are non-integer.  Continuous otherwise.  The measure follows the
+    kind (see the module docstring).  The center is the mean and the scale
+    default_scale, which overflow to non-finite values unwarned.
+    """
     values = np.asarray(values, dtype=float)
-    if kind is not None and kind not in KINDS:
-        raise DatasetError(f"unknown column kind {kind!r}")
-    if kind is None or measure is None:
-        inferred, atoms = _kind_and_atoms(values)
-        kind = inferred if kind is None else kind
-        if measure is None:
-            measure = _default_measure(kind, atoms)
-    if center is None:
-        center = float(np.mean(values))
-    if scale is None:
-        scale = default_scale(values)
+    kind, atoms = _kind_and_atoms(values)
+    if kind == "discrete":
+        measure = CountingMeasure.unit_integers()
+    elif kind == "continuous":
+        measure = LebesgueMeasure()
+    else:
+        measure = sum_measure(LebesgueMeasure(), CountingMeasure.from_atoms(atoms))
+    with np.errstate(over="ignore"):
+        center, scale = float(np.mean(values)), default_scale(values)
     return ColumnSchema(name=name, kind=kind, measure=measure, center=center, scale=scale)

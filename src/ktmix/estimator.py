@@ -192,18 +192,19 @@ class _LevelMixture:
         self._states = np.array(states, dtype=object).reshape(shape)
         self._ld = np.where(sizes > 0, 0.0, -math.inf)
 
-    def _log_mixture(self) -> float:
-        return _logsumexp((self._log_w + self._ld).ravel())
-
     def _advance(self, count: int, old: float) -> float:
         """Count samples just folded in; the log-density increment since old."""
         self.n += count
-        new = self._log_mixture()
+        new = self.log_density()
         return new - old if new > -math.inf else -math.inf
 
     def log_density(self) -> float:
         """Accumulated log g^n; equals log(sum of the weights) at n = 0."""
-        return self._log_mixture()
+        return _logsumexp((self._log_w + self._ld).ravel())
+
+    def level_log_densities(self) -> np.ndarray:
+        """Unweighted log density per level, or per level pair (j, k) of a joint; -inf if dead."""
+        return self._ld.copy()
 
 
 class MixtureEstimator(_LevelMixture):
@@ -212,9 +213,10 @@ class MixtureEstimator(_LevelMixture):
     Parameters
     ----------
     partition : Partition
-        Refining cell family; its support determines which samples are legal.
+        Refining cell family.
     measure : ReferenceMeasure
-        Reference measure the density is taken against.
+        Reference measure the density is taken against; its support
+        determines which samples are legal.
     weights : LevelWeights, optional
         One weight per level 0..max_level; defaults to LevelWeights.default.
 
@@ -238,7 +240,7 @@ class MixtureEstimator(_LevelMixture):
         y = float(y)
         axis, = self._axes
         axis.check(y)
-        old = self._log_mixture()
+        old = self.log_density()
         for k, a in enumerate(axis.alphas(y)):
             if a < 0:
                 self._ld[k] = -math.inf
@@ -265,7 +267,7 @@ class MixtureEstimator(_LevelMixture):
         if not ok.all():
             i = int(np.flatnonzero(~ok)[0])
             raise OutOfSupportError(f"value {float(ys[i])!r} lies outside the support", index=i)
-        old = self._log_mixture()
+        old = self.log_density()
         table = axis.finest_counts(ys)
         cells = np.flatnonzero(table)
         counts = table[cells]
@@ -293,7 +295,7 @@ class MixtureEstimator(_LevelMixture):
                 candidate[k] = -math.inf
             else:
                 candidate[k] = self._ld[k] + state.log_predictive(a) - axis.log_eta[k][a]
-        old = self._log_mixture()
+        old = self.log_density()
         if old == -math.inf:
             return 0.0
         return math.exp(_logsumexp(self._log_w + candidate) - old)
@@ -305,7 +307,7 @@ class MixtureEstimator(_LevelMixture):
         negative for continuous data (differential codelength).  +inf when no
         level covers all observed cells with finite mass.
         """
-        lm = self._log_mixture()
+        lm = self.log_density()
         return math.inf if lm == -math.inf else -lm / LOG2
 
     def level_posterior(self) -> list:
@@ -317,9 +319,6 @@ class MixtureEstimator(_LevelMixture):
         p = np.exp(v - total)
         return (p / p.sum()).tolist()
 
-    def level_log_densities(self) -> np.ndarray:
-        return self._ld.copy()
-
     def export_state(self) -> dict:
         """JSON-friendly snapshot: sample count, per-level counts and log densities."""
         levels = [{
@@ -328,4 +327,4 @@ class MixtureEstimator(_LevelMixture):
             "counts": {str(s): c for s, c in sorted(state.counts.items())} if state is not None else {},
             "log_density": float(self._ld[k]),
         } for k, state in enumerate(self._states)]
-        return {"n": self.n, "log_mixture_density": self._log_mixture(), "levels": levels}
+        return {"n": self.n, "log_mixture_density": self.log_density(), "levels": levels}

@@ -69,7 +69,7 @@ class JointEstimator(_LevelMixture):
         axis_x, axis_y = self._axes
         axis_x.check(x, "x value")
         axis_y.check(y, "y value")
-        old = self._log_mixture()
+        old = self.log_density()
         ax, ay = axis_x.alphas(x), axis_y.alphas(y)
         for (j, k), state in np.ndenumerate(self._states):
             if state is None:
@@ -101,7 +101,7 @@ class JointEstimator(_LevelMixture):
             i = int(np.flatnonzero(~ok)[0])
             raise OutOfSupportError(
                 f"pair ({float(xs[i])!r}, {float(ys[i])!r}) lies outside the support", index=i)
-        old = self._log_mixture()
+        old = self.log_density()
         ny = axis_y.cuts[-1].size + 1
         pairs, counts = np.unique(axis_x.finest(xs) * ny + axis_y.finest(ys), return_counts=True)
         cells_x, cells_y = np.divmod(pairs, ny)
@@ -129,9 +129,6 @@ class JointEstimator(_LevelMixture):
     def grid_state(self, j: int, k: int) -> KtState | None:
         """KT state of one grid point; None when that grid point has no alphabet."""
         return self._states[j, k]
-
-    def grid_log_densities(self) -> np.ndarray:
-        return self._ld.copy()
 
 
 @dataclass(frozen=True)
@@ -181,14 +178,12 @@ class FittedColumn:
         measure = LebesgueMeasure() if measure is None else measure
         center = float(np.mean(values)) if center is None else float(center)
         scale = default_scale(values) if scale is None else float(scale)
-        marginal = MixtureEstimator(
-            HistogramSequence(center, scale, support=measure, max_level=levels), measure
-        )
+        marginal = MixtureEstimator(HistogramSequence(center, scale, max_level=levels), measure)
         marginal.observe_many(values)
         return cls(
             values=values,
             measure=measure,
-            partition=HistogramSequence(center, scale, support=measure, max_level=joint_levels),
+            partition=HistogramSequence(center, scale, max_level=joint_levels),
             log_density=marginal.log_density(),
         )
 

@@ -86,28 +86,8 @@ class Interval:
         return cls(lower, upper, False, not math.isinf(upper))
 
     @classmethod
-    def closed_open(cls, lower: float, upper: float) -> "Interval":
-        """[lower, upper); an infinite lower end degrades to open."""
-        return cls(lower, upper, not math.isinf(lower), False)
-
-    @classmethod
-    def closed(cls, lower: float, upper: float) -> "Interval":
-        return cls(lower, upper, True, True)
-
-    @classmethod
-    def point(cls, value: float) -> "Interval":
-        return cls(value, value, True, True)
-
-    @classmethod
     def real_line(cls) -> "Interval":
         return cls(-INF, INF, False, False)
-
-    @property
-    def is_point(self) -> bool:
-        return self.lower == self.upper
-
-    def length(self) -> float:
-        return self.upper - self.lower
 
     def contains(self, x: float) -> bool:
         if not self.lower <= x <= self.upper:  # also rejects NaN
@@ -119,28 +99,6 @@ class Interval:
         lo_ok = values >= self.lower if self.lower_closed else values > self.lower
         up_ok = values <= self.upper if self.upper_closed else values < self.upper
         return lo_ok & up_ok
-
-    def _admits_lower(self, v: float) -> bool:
-        return self.lower < v or (self.lower == v and self.lower_closed)
-
-    def _admits_upper(self, v: float) -> bool:
-        return self.upper > v or (self.upper == v and self.upper_closed)
-
-    def intersect(self, other: "Interval") -> "Interval | None":
-        lo = max(self.lower, other.lower)
-        up = min(self.upper, other.upper)
-        if lo > up:
-            return None
-        if lo == up:
-            if self.contains(lo) and other.contains(lo):
-                return Interval.point(lo)
-            return None
-        return Interval(
-            lo,
-            up,
-            self._admits_lower(lo) and other._admits_lower(lo),
-            self._admits_upper(up) and other._admits_upper(up),
-        )
 
 
 def _integer_range(cell: Interval) -> tuple[float, float]:
@@ -197,8 +155,10 @@ class LebesgueMeasure(ReferenceMeasure):
     support: Interval = Interval.real_line()
 
     def measure_of(self, cell: Interval) -> float:
-        clipped = cell.intersect(self.support)
-        return 0.0 if clipped is None else clipped.length()
+        # An endpoint has no length, so the closed flags never matter, and no
+        # interval has a closed infinite end, so inf - inf cannot arise.
+        s = self.support
+        return max(min(cell.upper, s.upper) - max(cell.lower, s.lower), 0.0)
 
     def masses_half_open(self, lows, highs) -> np.ndarray:
         lo = np.maximum(np.asarray(lows, dtype=float), self.support.lower)

@@ -11,8 +11,11 @@ A level's cells are the raw intervals between its cut points, the two
 unbounded tails included: cuts.size + 1 cells, indexed by a left-sided
 search of the cut points.  A cell enters an estimator only through its
 reference mass (estimator.level_alphabet), and a cell outside the support
-simply has mass zero, so cells are never clipped to the support.  The
-optional support is the gate on samples only (in_support, in_support_many).
+simply has mass zero, so cells are never clipped to the support.
+
+The optional support is a second gate on samples beside the estimator's
+measure.  Nothing in ktmix sets it, as the measure alone says which values are
+legal; it stays while the benchmark's workloads pass one (ROADMAP item 1).
 
 Cell convention: half-open (a, b] everywhere, so a point on a cut boundary
 belongs to the cell on its left.
@@ -50,8 +53,9 @@ class Partition:
     Level 0 is the single cell covering the whole line.  support is an
     Interval (standing for Lebesgue measure on it) or a reference measure,
     whose support the samples must lie in; the default admits every finite
-    value.  Instances are immutable once built, apart from the cache that
-    estimator.level_alphabet keeps on them.
+    value.  Nothing in ktmix sets it (see the module docstring), and its
+    deletion waits for ROADMAP item 1.  Instances are immutable once built,
+    apart from the cache that estimator.level_alphabet keeps on them.
     """
 
     def __init__(self, cut_levels, support=None):
@@ -85,11 +89,6 @@ class Partition:
 
     def in_support_many(self, values) -> np.ndarray:
         return self._support.in_support_many(values)
-
-    def cut_points(self, k: int) -> np.ndarray:
-        if not 1 <= k <= self.max_level:
-            raise ValueError(f"level {k} out of range 1..{self.max_level}")
-        return self._cuts[k]
 
     def level_map(self, k: int) -> LevelMap:
         if not 0 <= k <= self.max_level:

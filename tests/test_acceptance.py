@@ -75,10 +75,10 @@ def test_c03_entropy_convergence():
 
 def test_c04_histogram_structure():
     h = HistogramSequence(0.0, 1.0, max_level=12)
-    ok = all(h.cut_points(k).size == 2**k - 1 for k in range(1, 13))
-    ok &= list(h.cut_points(1)) == [0.0]
-    ok &= list(h.cut_points(2)) == [-1.0, 0.0, 1.0]
-    ok &= list(h.cut_points(3)) == [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+    ok = all(h.level_map(k).cuts.size == 2**k - 1 for k in range(1, 13))
+    ok &= list(h.level_map(1).cuts) == [0.0]
+    ok &= list(h.level_map(2).cuts) == [-1.0, 0.0, 1.0]
+    ok &= list(h.level_map(3).cuts) == [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
     ok &= h.verify_refinement()
     _check(4, "histogram-structure", ok)
 
@@ -100,7 +100,7 @@ def test_c05_gaussian_convergence():
 def test_c06_uniform_convergence():
     rng = np.random.default_rng(606)
     ys = rng.random(2**15)
-    support = Interval.closed_open(0.0, 1.0)
+    support = Interval(0.0, 1.0, True, False)
     est = MixtureEstimator(
         HistogramSequence(float(ys.mean()), float(ys.std()), support=support, max_level=16),
         LebesgueMeasure(support),
@@ -126,7 +126,7 @@ def test_c07_mixed_convergence():
 
 
 def test_c08_super_martingale_mean():
-    support = Interval.closed_open(0.0, 1.0)
+    support = Interval(0.0, 1.0, True, False)
     ratios = np.empty(1000)
     for trial in range(1000):
         rng = np.random.default_rng(8000 + trial)

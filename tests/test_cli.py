@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -84,6 +86,22 @@ class TestDeterminism:
                               "--output", out_path)
         assert code == code2 == 0
         assert open(out_path).read() == stdout
+
+    def test_output_files_honour_the_umask(self, tmp_path, capsys):
+        data_path, report_path = tmp_path / "s.csv", tmp_path / "report.json"
+        old = os.umask(0o022)
+        try:
+            code, _, err = run_cli(capsys, "simulate", "--columns", "x=gaussian", "--rows", "20",
+                                   "--output", str(data_path))
+            assert code == 0, err
+            code, _, err = run_cli(capsys, "codelength", str(data_path),
+                                   "--output", str(report_path))
+            assert code == 0, err
+        finally:
+            os.umask(old)
+        for path in (data_path, report_path):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
 
 
 class TestCodelength:
@@ -332,6 +350,66 @@ class TestErrors:
         assert code == 1
         assert err == (f"error: {dataset}: value {float(u[first])!r} lies outside the support "
                        f"at row {first + 2}, column 'u'\n")
+
+    @pytest.mark.parametrize("text, where", [
+        ('[{"name": "u"}]', "column entry 0: missing key 'kind'"),
+        ('{"cols": []}', "expected a list of column entries"),
+        ('{"columns": 5}', "expected a list of column entries"),
+        ('[{"name": "u", "kind": "continuous", "center": 0.5, "scale": 0.3, '
+         '"measure": {"variant": "sum"}}]', "column entry 0: missing key 'parts'"),
+        ('[{"name": "u", "kind": "continuous", "center": null, "scale": 0.3, '
+         '"measure": {"variant": "lebesgue"}}]', "column entry 0: float() argument"),
+        ('[5]', "column entry 0: "),
+        ('[{"name": "u", "kind": "continuous", "center": 0.5, "scale": 0.3, "measure": 5}]',
+         "column entry 0: 'int' object has no attribute 'get'"),
+        ('[{"name": "u", "kind": "continuous", "center": 1' + "0" * 400 + ', "scale": 0.3, '
+         '"measure": {"variant": "lebesgue"}}]', "column entry 0: int too large"),
+    ], ids=["no-kind", "no-columns-key", "columns-not-a-list", "sum-without-parts",
+            "null-center", "entry-not-an-object", "measure-not-an-object", "center-overflows"])
+    def test_malformed_schema_file_names_file_and_entry(self, dataset, tmp_path, capsys,
+                                                        text, where):
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(text)
+        code, _, err = run_cli(capsys, "codelength", dataset, "--schema", str(schema_path))
+        assert code == 1
+        assert err.startswith(f"error: --schema {schema_path}: {where}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["5", "null", "[[0.5], {}]", "[[0.5"])
+    def test_malformed_partition_file_names_its_column(self, dataset, tmp_path, capsys, text):
+        part_path = tmp_path / "cuts.json"
+        part_path.write_text(text)
+        code, _, err = run_cli(capsys, "codelength", dataset, "--partition", f"u={part_path}")
+        assert code == 1
+        assert err.startswith("error: custom partition for 'u': ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, flags, message", [
+        ("a,b\n1e300,2\n-1e300,3\n4,1\n", (),
+         "column 'a': histogram scale inf is not positive and finite; "
+         "give one with --sigma a=VALUE"),
+        ("a,b\n1.7e308,2\n1.7e308,3\n", (),
+         "column 'a': histogram center inf is not finite; give one with --mu a=VALUE"),
+        ("a,b\n1,2\n3,4\n", ("--mu", "a=inf"),
+         "column 'a': histogram center inf is not finite; give one with --mu a=VALUE"),
+        ("a,b\n1,2\n3,4\n", ("--sigma", "b=0"),
+         "column 'b': histogram scale 0.0 is not positive and finite; "
+         "give one with --sigma b=VALUE"),
+    ])
+    @pytest.mark.parametrize("command", ["codelength", "forest"])
+    def test_unusable_center_or_scale_names_column_and_flag(
+            self, tmp_path, capsys, text, flags, message, command):
+        path = tmp_path / "wide.csv"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, command, str(path), *flags)
+        assert code == 1
+        assert err == f"error: {message}\n"
+
+    def test_a_given_scale_mends_an_overflowing_one(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text("a,b\n1e300,2\n-1e300,3\n4,1\n")
+        code, _, err = run_cli(capsys, "codelength", str(path), "--sigma", "a=1")
+        assert code == 0, err
 
     def test_missing_cell_reported(self, tmp_path, capsys):
         path = tmp_path / "broken.csv"

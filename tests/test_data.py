@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from ktmix.data import (
     _parse_cells,
     _parse_table,
     build_schema,
-    infer_column_kind,
     parse_dataset,
 )
 from ktmix.measure import CountingMeasure, LebesgueMeasure, SumMeasure
@@ -167,38 +168,39 @@ class TestVectorizedReader:
 
 class TestInferColumnKind:
     def test_binary_values_are_discrete(self):
-        assert infer_column_kind([0.0, 1.0, 1.0, 0.0]) == "discrete"
+        assert build_schema("c", [0.0, 1.0, 1.0, 0.0]).kind == "discrete"
 
     def test_small_integer_alphabet_is_discrete(self):
         rng = np.random.default_rng(0)
-        assert infer_column_kind(rng.integers(0, 3, 500).astype(float)) == "discrete"
+        assert build_schema("c", rng.integers(0, 3, 500).astype(float)).kind == "discrete"
 
     def test_gaussian_floats_are_continuous(self):
         rng = np.random.default_rng(1)
-        assert infer_column_kind(rng.standard_normal(500)) == "continuous"
+        assert build_schema("c", rng.standard_normal(500)).kind == "continuous"
 
     def test_wide_integer_range_is_continuous(self):
         # all integers, but far too many distinct values for a discrete alphabet
         rng = np.random.default_rng(2)
         values = rng.integers(0, 100_000, 400).astype(float)
-        assert infer_column_kind(values) == "continuous"
+        assert build_schema("c", values).kind == "continuous"
 
     def test_zero_inflated_floats_are_mixed(self):
         rng = np.random.default_rng(3)
         body = rng.random(200) + 0.001
         values = np.concatenate([np.zeros(200), body])
-        assert infer_column_kind(values) == "mixed"
-        assert build_schema("z", values).measure.parts[1].atoms == (0.0,)
+        schema = build_schema("z", values)
+        assert schema.kind == "mixed"
+        assert schema.measure.parts[1].atoms == (0.0,)
 
     def test_repeating_integer_among_integers_is_not_mixed(self):
         rng = np.random.default_rng(4)
         values = rng.integers(0, 100_000, 400).astype(float)
         values[:100] = 7.0
-        assert infer_column_kind(values) == "continuous"
+        assert build_schema("c", values).kind == "continuous"
 
     def test_empty_column_rejected(self):
         with pytest.raises(ValueError):
-            infer_column_kind([])
+            build_schema("c", [])
 
 
 class TestBuildSchema:
@@ -234,13 +236,17 @@ class TestBuildSchema:
         schema = build_schema("c", [4.0, 4.0, 4.0])
         assert schema.scale == 1.0
 
-    def test_overrides_win(self):
-        schema = build_schema("c", [0.0, 1.0], kind="continuous", center=0.25, scale=2.0)
-        assert (schema.kind, schema.center, schema.scale) == ("continuous", 0.25, 2.0)
+    def test_overflowing_moments_come_out_non_finite_unwarned(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert build_schema("c", [1e300, -1e300, 4.0]).scale == math.inf
+            assert build_schema("c", [1.7e308, 1.7e308]).center == math.inf
 
     def test_unknown_kind_rejected(self):
+        config = build_schema("c", [0.0, 1.0]).to_config()
+        config["kind"] = "categorical"
         with pytest.raises(DatasetError):
-            build_schema("c", [0.0, 1.0], kind="categorical")
+            ColumnSchema.from_config(config)
 
     def test_config_round_trip(self):
         rng = np.random.default_rng(8)

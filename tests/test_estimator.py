@@ -14,7 +14,7 @@ from ktmix.measure import (
 )
 from ktmix.partition import CustomPartition, HistogramSequence
 
-UNIT = Interval.closed_open(0.0, 1.0)
+UNIT = Interval(0.0, 1.0, True, False)
 
 
 def unit_uniform_estimator(max_level=2):

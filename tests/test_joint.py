@@ -17,7 +17,7 @@ from ktmix.measure import (
 )
 from ktmix.partition import CustomPartition, HistogramSequence
 
-UNIT = Interval.closed_open(0.0, 1.0)
+UNIT = Interval(0.0, 1.0, True, False)
 
 
 def unit_partitions(max_level):
@@ -71,7 +71,7 @@ class TestObserve:
             LebesgueMeasure(), LebesgueMeasure(),
         )
         joint.observe(0.3, 0.4)
-        gld = joint.grid_log_densities()
+        gld = joint.level_log_densities()
         assert gld[0, 0] == -math.inf
         assert gld[0, 2] == -math.inf   # any grid point touching level 0 is dead
         assert math.isfinite(gld[2, 2])

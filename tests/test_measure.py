@@ -28,7 +28,6 @@ class TestInterval:
     def test_point_must_be_closed(self):
         with pytest.raises(ValueError):
             Interval(2.0, 2.0, True, False)
-        assert Interval.point(2.0).is_point
 
     def test_infinite_endpoint_never_closed(self):
         with pytest.raises(ValueError):
@@ -44,27 +43,13 @@ class TestInterval:
         assert not iv.contains(1.5)
 
     def test_contains_many_matches_scalar(self):
-        iv = Interval.closed_open(0.0, 1.0)
+        iv = Interval(0.0, 1.0, True, False)
         xs = np.array([-0.1, 0.0, 0.5, 1.0, 1.1])
         assert list(iv.contains_many(xs)) == [iv.contains(x) for x in xs]
 
-    def test_intersection(self):
-        a = Interval.half_open(0.0, 2.0)
-        b = Interval.closed_open(1.0, 3.0)
-        c = a.intersect(b)
-        assert (c.lower, c.upper, c.lower_closed, c.upper_closed) == (1.0, 2.0, True, True)
-
-    def test_intersection_at_shared_endpoint(self):
-        a = Interval.half_open(0.0, 1.0)
-        assert a.intersect(Interval.closed_open(1.0, 2.0)) == Interval.point(1.0)
-        assert a.intersect(Interval.half_open(1.0, 2.0)) is None
-
-    def test_intersection_disjoint(self):
-        assert Interval.half_open(0.0, 1.0).intersect(Interval.half_open(2.0, 3.0)) is None
-
     def test_config_round_trip(self):
         for iv in (Interval.real_line(), Interval.half_open(0.0, 1.0),
-                   Interval.closed_open(0.0, INF), Interval.point(3.5)):
+                   Interval(0.0, INF, True, False), Interval(3.5, 3.5, True, True)):
             assert interval_from_config(interval_to_config(iv)) == iv
 
 
@@ -77,12 +62,34 @@ class TestLebesgue:
         assert LebesgueMeasure().measure_of(Interval.real_line()) == INF
 
     def test_clips_to_support(self):
-        m = LebesgueMeasure(Interval.closed_open(0.0, 1.0))
+        m = LebesgueMeasure(Interval(0.0, 1.0, True, False))
         assert m.measure_of(Interval.half_open(-INF, 0.5)) == 0.5
         assert m.measure_of(Interval.half_open(2.0, 3.0)) == 0.0
 
     def test_point_has_zero_mass(self):
-        assert LebesgueMeasure().measure_of(Interval.point(0.3)) == 0.0
+        assert LebesgueMeasure().measure_of(Interval(0.3, 0.3, True, True)) == 0.0
+
+    @pytest.mark.parametrize("lower_closed, upper_closed", [
+        (False, False), (True, False), (False, True), (True, True)])
+    def test_endpoint_flags_never_change_a_length(self, lower_closed, upper_closed):
+        cell = Interval(0.25, 2.0, lower_closed, upper_closed)
+        assert LebesgueMeasure().measure_of(cell) == 1.75
+        assert LebesgueMeasure(Interval(0.0, 1.0, True, False)).measure_of(cell) == 0.75
+
+    @pytest.mark.parametrize("cell, mass", [
+        (Interval(-1.0, 0.0, False, True), 0.0),   # (-1, 0] meets [0, 1) in the point 0
+        (Interval(1.0, 2.0, True, True), 0.0),     # [1, 2] touches the open end
+        (Interval(0.0, 0.0, True, True), 0.0),     # the closed end as a point
+        (Interval(1.0, 1.0, True, True), 0.0),     # the open end as a point
+        (Interval(0.5, 0.5, True, True), 0.0),     # an interior point
+        (Interval(0.0, 1.0, False, False), 1.0),   # (0, 1) less both ends
+        (Interval(-INF, 0.5, False, True), 0.5),
+        (Interval(0.5, INF, True, False), 0.5),
+        (Interval.real_line(), 1.0),
+        (Interval(2.0, 3.0, True, True), 0.0),     # disjoint
+    ])
+    def test_cells_at_the_support_ends(self, cell, mass):
+        assert LebesgueMeasure(Interval(0.0, 1.0, True, False)).measure_of(cell) == mass
 
 
 class TestCounting:
@@ -94,7 +101,7 @@ class TestCounting:
     def test_harmonic_matches_naive_summation(self):
         m = CountingMeasure.harmonic_naturals()
         cells = [Interval.half_open(0.5, 7.0), Interval.half_open(2.0, 2.0 + 1e-9),
-                 Interval.closed_open(3.0, 10.0), Interval.half_open(4.5, INF)]
+                 Interval(3.0, 10.0, True, False), Interval.half_open(4.5, INF)]
         for cell in cells:
             naive = sum(1.0 / (h * (h + 1)) for h in range(1, 10**6) if cell.contains(h))
             exact = m.measure_of(cell)
@@ -136,7 +143,7 @@ class TestCounting:
         assert m.atoms == (0.5, 2.0)
         assert m.measure_of(Interval.half_open(0.0, 2.0)) == 3.25
         assert m.measure_of(Interval.half_open(0.5, 2.0)) == 3.0
-        assert m.measure_of(Interval.point(0.5)) == 0.25
+        assert m.measure_of(Interval(0.5, 0.5, True, True)) == 0.25
 
     def test_zero_atom_counting_is_null(self):
         m = CountingMeasure.from_atoms([])
@@ -198,12 +205,12 @@ def _random_cell(rng):
 
 ALL_MEASURES = [
     LebesgueMeasure(),
-    LebesgueMeasure(Interval.closed_open(-1.0, 4.0)),
+    LebesgueMeasure(Interval(-1.0, 4.0, True, False)),
     CountingMeasure.unit_integers(),
     CountingMeasure.harmonic_naturals(),
     CountingMeasure.from_atoms([-2.0, 0.0, 0.5, 3.0], [1.0, 2.0, 0.5, 0.25]),
     sum_measure(LebesgueMeasure(), CountingMeasure.unit_integers()),
-    scaled(sum_measure(LebesgueMeasure(Interval.closed_open(0.0, 2.0)),
+    scaled(sum_measure(LebesgueMeasure(Interval(0.0, 2.0, True, False)),
                        CountingMeasure.from_atoms([1.0])), 3.0),
 ]
 

@@ -13,35 +13,35 @@ from ktmix.estimator import MixtureEstimator, level_alphabet
 from ktmix.partition import CustomPartition, HistogramSequence
 
 INF = math.inf
-UNIT = Interval.closed_open(0.0, 1.0)
+UNIT = Interval(0.0, 1.0, True, False)
 
 
 class TestCutPoints:
     def test_level_one_is_the_center(self):
         h = HistogramSequence(0.0, 1.0, max_level=3)
-        assert list(h.cut_points(1)) == [0.0]
+        assert list(h.level_map(1).cuts) == [0.0]
 
     def test_level_two(self):
         h = HistogramSequence(0.0, 1.0, max_level=3)
-        assert list(h.cut_points(2)) == [-1.0, 0.0, 1.0]
+        assert list(h.level_map(2).cuts) == [-1.0, 0.0, 1.0]
 
     def test_level_three(self):
         h = HistogramSequence(0.0, 1.0, max_level=3)
-        assert list(h.cut_points(3)) == [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+        assert list(h.level_map(3).cuts) == [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
 
     def test_counts_and_monotonicity(self):
         h = HistogramSequence(0.3, 0.7, max_level=12)
         for k in range(1, 13):
-            cuts = h.cut_points(k)
+            cuts = h.level_map(k).cuts
             assert cuts.size == 2**k - 1
             assert np.all(np.diff(cuts) > 0)
 
     def test_level_out_of_range(self):
         h = HistogramSequence(0.0, 1.0, max_level=3)
         with pytest.raises(ValueError):
-            h.cut_points(0)
+            h.level_map(-1)
         with pytest.raises(ValueError):
-            h.cut_points(4)
+            h.level_map(4)
 
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -148,7 +148,7 @@ class TestRefinement:
 
     def test_missing_cut_breaks_refinement(self):
         base = HistogramSequence(0.0, 1.0, max_level=4)
-        levels = [list(base.cut_points(k)) for k in range(1, 5)]
+        levels = [list(base.level_map(k).cuts) for k in range(1, 5)]
         levels[2].remove(0.0)  # drop a level-2 cut from level 3 only
         assert not CustomPartition(levels).verify_refinement()
 

@@ -45,7 +45,7 @@ def columns(draw, max_level=10, max_size=60):
     if kind == "bounded":
         # Lebesgue on [0, 1): a sample at 0 sits in a zero-mass clipped cell
         # once a level cuts at 0, which kills that level.
-        measure = LebesgueMeasure(Interval.closed_open(0.0, 1.0))
+        measure = LebesgueMeasure(Interval(0.0, 1.0, True, False))
         center, scale = 0.5, 0.5 ** draw(st.integers(1, 3))  # level 2, 3 or 5 cuts at 0
         values = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
                                min_size=1, max_size=max_size))
@@ -142,7 +142,7 @@ def test_joint_batch_equals_sequential(x, y, cuts):
             assert (s is None) == (m is None)
             if s is not None:
                 assert m.counts == s.counts
-    assert_same_levels(mixed.grid_log_densities(), seq.grid_log_densities(), 1e-10)
+    assert_same_levels(mixed.level_log_densities(), seq.level_log_densities(), 1e-10)
     assert_same_levels(mixed.log_density(), seq.log_density(), 1e-10)
 
 
@@ -163,7 +163,7 @@ def test_joint_with_a_one_cell_axis_is_the_marginal(column):
             for x in xs.tolist():
                 marginal.observe(x)
                 joint.observe(x, 0.0)
-        want, got = marginal.level_log_densities(), joint.grid_log_densities()[:, 0]
+        want, got = marginal.level_log_densities(), joint.level_log_densities()[:, 0]
         live = np.isfinite(want)
         assert np.array_equal(np.isfinite(got), live)
         np.testing.assert_allclose(got[live], want[live], rtol=1e-12, atol=0)
@@ -174,7 +174,7 @@ def test_joint_with_a_one_cell_axis_is_the_marginal(column):
 @given(column=columns(max_size=1), drop=st.integers(0, 10**6))
 def test_histogram_cuts_refine_and_a_dropped_cut_breaks_it(column, drop):
     partition = column[0]
-    levels = [partition.cut_points(k) for k in range(1, partition.max_level + 1)]
+    levels = [partition.level_map(k).cuts for k in range(1, partition.max_level + 1)]
     assert CustomPartition(levels).verify_refinement()
     if partition.max_level >= 2:
         k = drop % (partition.max_level - 1)           # a level with a successor
@@ -242,8 +242,8 @@ def base_measures(draw):
     if kind == "lebesgue":
         lo, hi = sorted(draw(st.lists(ENDS, min_size=2, max_size=2, unique=True)))
         support = draw(st.sampled_from([
-            Interval.real_line(), Interval.closed_open(lo, hi), Interval.half_open(lo, hi),
-            Interval.closed(lo, hi), Interval(-math.inf, hi, False, True),
+            Interval.real_line(), Interval(lo, hi, True, False), Interval.half_open(lo, hi),
+            Interval(lo, hi, True, True), Interval(-math.inf, hi, False, True),
         ]))
         return LebesgueMeasure(support)
     if kind == "atoms":

@@ -53,6 +53,10 @@ REPORTS = {
         ["codelength", "fixture.csv", "--schema", "dyadic_schema.json",
          "--partition", "u=dyadic_cuts.json"],
         "c1cf4980fb43784521a3501ada7bfc7b291446ae6ca1affff29435afc56d8e3f"),
+    "density-u-dyadic-partition": (
+        ["density", "fixture.csv", "u", "--schema", "dyadic_schema.json",
+         "--partition", "u=dyadic_cuts.json"],
+        "b85805f92441d61bc0b44720981fe827ea1855683014779cdf523df0a31edc8e"),
     "codelength-weighted-atoms": (
         ["codelength", "fixture.csv", "--schema", "weighted_atoms_schema.json"],
         "f797fbab82f34ac8f815fbefb81317f52f29f54502f36aac338f84bea737eab1"),
