@@ -115,7 +115,10 @@ def _resolve_schemas(names, columns, args) -> list:
     overrides = {}
     if args.schema:
         with open(args.schema, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise DatasetError(f"--schema {args.schema}: not valid JSON: {exc}") from None
         entries = loaded.get("columns") if isinstance(loaded, dict) else loaded
         if not isinstance(entries, list):
             raise DatasetError(f"--schema {args.schema}: expected a list of column entries")

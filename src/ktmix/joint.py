@@ -85,9 +85,15 @@ class JointEstimator(_LevelMixture):
     def observe_many(self, xs, ys) -> float:
         """Fold a batch of pairs in; equivalent to observe() loops up to rounding.
 
-        The pairs are binned once on the grid of the two finest levels; each
-        (j, k) grid state is scored in closed form from that count table,
-        summed up to levels j and k.
+        The pairs are binned once on the grid of the two finest levels, and
+        each finest cell's ancestors are found at every level.  Each x level j
+        then takes one pass over all y levels: sorted by (level-j x cell,
+        finest y cell), the valid symbols a * m_k + b of every y level k come
+        out non-decreasing, so with each level's symbols shifted into a key
+        range of its own, one run merge gives the count tables of all the
+        states in row j.  Each state is
+        scored from its table in closed form; a level pair with a sample in
+        a cell of zero mass is dead, though its state still counts the rest.
         """
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
@@ -105,23 +111,29 @@ class JointEstimator(_LevelMixture):
         ny = axis_y.cuts[-1].size + 1
         pairs, counts = np.unique(axis_x.finest(xs) * ny + axis_y.finest(ys), return_counts=True)
         cells_x, cells_y = np.divmod(pairs, ny)
-        ay = axis_y.ancestor_alphas(cells_y)
-        for j, a_all in enumerate(axis_x.ancestor_alphas(cells_x)):
-            # Sorted by (level-j x cell, finest y cell), the valid symbols
-            # a * m_y + b of every level k come out non-decreasing.
-            order = np.lexsort((cells_y, a_all))
-            a, c = a_all[order], counts[order]
-            for k, b_all in enumerate(ay):
-                state = self._states[j, k]
+        ax = np.array(axis_x.ancestor_alphas(cells_x))
+        ay = np.array(axis_y.ancestor_alphas(cells_y))
+        sizes_y = np.array(axis_y.sizes, dtype=np.int64)[:, None]
+        for j, a_all in enumerate(ax):
+            if not axis_x.sizes[j]:
+                continue   # no alphabet, so no state in this row
+            order = np.argsort((a_all + 1) * ny + cells_y, kind="stable")
+            a, c, b = a_all[order], counts[order], ay[:, order]
+            valid = (a >= 0) & (b >= 0)
+            live = valid.all(axis=1)
+            # Level k's symbols a * m_k + b take the key range bounds[k]..bounds[k + 1].
+            bounds = np.concatenate(([0], np.cumsum(axis_x.sizes[j] * sizes_y)))
+            keys, key_counts = _merge_runs((a * sizes_y + b + bounds[:-1, None])[valid],
+                                           np.broadcast_to(c, b.shape)[valid])
+            lo_hi = np.searchsorted(keys, bounds)
+            eta_x = axis_x.log_eta[j][a]   # read by live states only, where every a >= 0
+            for k, state in enumerate(self._states[j]):
                 if state is None:
                     continue
-                b = b_all[order]
-                valid = (a >= 0) & (b >= 0)
-                symbols, cell_counts = _merge_runs(a[valid] * axis_y.sizes[k] + b[valid], c[valid])
-                inc = state.observe_counts(symbols, cell_counts)
-                if valid.all():
-                    eta = _dot(c, axis_x.log_eta[j][a] + axis_y.log_eta[k][b])
-                    self._ld[j, k] += inc - eta
+                lo, hi = lo_hi[k], lo_hi[k + 1]
+                inc = state._fold(keys[lo:hi] - bounds[k], key_counts[lo:hi])
+                if live[k]:
+                    self._ld[j, k] += inc - _dot(c, eta_x + axis_y.log_eta[k][b[k]])
                 else:
                     self._ld[j, k] = -math.inf
         return self._advance(xs.size, old)

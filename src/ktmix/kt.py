@@ -14,8 +14,13 @@ So a batch is folded in from its count table alone (observe_counts), with
 one vectorized log-Gamma difference per distinct symbol; observe() runs the
 one-step recursion for streaming use.  Both update the same counts, may be
 interleaved freely, and agree up to float rounding.  All accumulation
-happens in natural-log domain; counts are stored sparsely because level
-alphabets can be large while samples touch few cells.
+happens in natural-log domain.
+
+Counts are kept only for the symbols seen, since level alphabets can be
+large while samples touch few cells.  A batch folded into an empty state is
+kept as its sorted (symbols, counts) arrays, and the per-symbol dict that
+observe() and predictive() read is built from them on first use: a batch
+fit that only needs the closed-form sum never builds it.
 """
 
 from __future__ import annotations
@@ -32,32 +37,51 @@ __all__ = ["KtState", "kt_log_prob_closed_form"]
 class KtState:
     """Counts and accumulated log-probability for one alphabet.
 
+    counts maps each symbol seen to its count.  A batch folded into an empty
+    state waits as its sorted (symbols, counts) arrays until counts, observe()
+    or predictive() first asks for the dict; a batch folded into a state that
+    already holds counts looks its prior counts up in the dict and updates it.
+
     Single-writer: observe() mutates in place and returns the log predictive
     increment.  Distinct states may be updated concurrently.
     """
 
-    __slots__ = ("alphabet_size", "counts", "total", "log_prob")
+    __slots__ = ("alphabet_size", "_counts", "_batch", "total", "log_prob")
 
     def __init__(self, alphabet_size: int):
         if alphabet_size < 1:
             raise ValueError("alphabet size must be at least 1")
         self.alphabet_size = int(alphabet_size)
-        self.counts: dict[int, int] = {}
+        self._counts: dict[int, int] | None = {}
+        self._batch = None   # (symbols, counts) arrays while _counts is None
         self.total = 0
         self.log_prob = 0.0
+
+    @property
+    def counts(self) -> dict[int, int]:
+        """Count per symbol seen; builds the dict of a waiting batch once."""
+        if self._counts is None:
+            symbols, counts = self._batch
+            self._counts = dict(zip(symbols.tolist(), counts.tolist()))
+            self._batch = None
+        return self._counts
 
     def predictive(self, symbol: int) -> float:
         """(c[x] + 1/2) / (n + m/2); does not mutate the state."""
         if not 0 <= symbol < self.alphabet_size:
             raise ValueError(f"symbol {symbol} out of range for alphabet of {self.alphabet_size}")
-        return (self.counts.get(symbol, 0) + 0.5) / (self.total + 0.5 * self.alphabet_size)
+        try:
+            count = self._counts.get(symbol, 0)
+        except AttributeError:   # _counts is None: a batch waits to become the dict
+            count = self.counts.get(symbol, 0)
+        return (count + 0.5) / (self.total + 0.5 * self.alphabet_size)
 
     def log_predictive(self, symbol: int) -> float:
         return math.log(self.predictive(symbol))
 
     def observe(self, symbol: int) -> float:
-        inc = self.log_predictive(symbol)
-        self.counts[symbol] = self.counts.get(symbol, 0) + 1
+        inc = self.log_predictive(symbol)   # leaves _counts a dict
+        self._counts[symbol] = self._counts.get(symbol, 0) + 1
         self.total += 1
         self.log_prob += inc
         return inc
@@ -70,8 +94,8 @@ class KtState:
         - [lnG(n + N + m/2) - lnG(n + m/2)] for prior counts c, n and added
         counts a, N: the sequential product, in any order of the batch.
         """
-        symbols = np.asarray(symbols, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
+        symbols = np.array(symbols, dtype=np.int64)   # copies: the state may keep them
+        counts = np.array(counts, dtype=np.int64)
         if symbols.ndim != 1 or symbols.shape != counts.shape:
             raise ValueError("symbols and counts must be one-dimensional and of equal length")
         if symbols.size == 0:
@@ -82,17 +106,27 @@ class KtState:
             raise ValueError("batch symbols must be strictly increasing")
         if counts.min() < 1:
             raise ValueError("batch counts must be positive")
-        keys = symbols.tolist()
-        if self.counts:
-            before = np.fromiter(map(self.counts.get, keys, repeat(0)), dtype=np.int64, count=len(keys))
+        return self._fold(symbols, counts)
+
+    def _fold(self, symbols: np.ndarray, counts: np.ndarray) -> float:
+        """observe_counts on a batch already known to be valid (an empty one adds nothing).
+
+        An empty state keeps the arrays.
+        """
+        if self.total:
+            prior = self.counts
+            keys = symbols.tolist()
+            before = np.fromiter(map(prior.get, keys, repeat(0)), dtype=np.int64, count=len(keys))
+            after = before + counts
+            prior.update(zip(keys, after.tolist()))
+            terms = gammaln(after + 0.5) - gammaln(before + 0.5)
         else:
-            before = np.zeros(len(keys), dtype=np.int64)
-        after = before + counts
+            self._counts, self._batch = None, (symbols, counts)
+            terms = gammaln(counts + 0.5) - gammaln(0.5)
         added = int(counts.sum())
         half_m = 0.5 * self.alphabet_size
-        numerator = float(np.sum(gammaln(after + 0.5) - gammaln(before + 0.5)))
+        numerator = float(np.add.reduce(terms))
         denominator = float(gammaln(self.total + added + half_m) - gammaln(self.total + half_m))
-        self.counts.update(zip(keys, after.tolist()))
         self.total += added
         inc = numerator - denominator
         self.log_prob += inc

@@ -375,6 +375,16 @@ class TestErrors:
         assert err.startswith(f"error: --schema {schema_path}: {where}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", ['{"columns": [', "", "[1, 2,]"])
+    def test_schema_file_that_is_not_json_names_flag_and_file(self, dataset, tmp_path, capsys,
+                                                               text):
+        schema_path = tmp_path / "bad.json"
+        schema_path.write_text(text)
+        code, _, err = run_cli(capsys, "codelength", dataset, "--schema", str(schema_path))
+        assert code == 1
+        assert err.startswith(f"error: --schema {schema_path}: not valid JSON: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("text", ["5", "null", "[[0.5], {}]", "[[0.5"])
     def test_malformed_partition_file_names_its_column(self, dataset, tmp_path, capsys, text):
         part_path = tmp_path / "cuts.json"

@@ -110,6 +110,32 @@ class TestObserve:
         b.observe_many(xs[order], ys[order])
         assert a.log_density() == pytest.approx(b.log_density(), abs=1e-9)
 
+    def test_batch_with_every_pair_in_a_zero_mass_x_cell(self):
+        # Lebesgue measure on [0, 1) gives the cell (-inf, 0] of x levels 3
+        # and up no mass, so at those levels every pair is invalid and the
+        # merged key array of the batch is empty; y is a counting axis.
+        px = HistogramSequence(0.5, 0.25, max_level=5)
+        py = HistogramSequence(2.0, 1.0, max_level=3)
+        mx, my = LebesgueMeasure(UNIT), CountingMeasure.harmonic_naturals()
+        xs = np.zeros(40)
+        ys = np.random.default_rng(4).integers(1, 6, 40).astype(float)
+        seq, batch = JointEstimator(px, py, mx, my), JointEstimator(px, py, mx, my)
+        total = sum(seq.observe(x, y) for x, y in zip(xs.tolist(), ys.tolist()))
+        inc = batch.observe_many(xs, ys)
+        for j in range(6):
+            for k in range(4):
+                s, b = seq.grid_state(j, k), batch.grid_state(j, k)
+                assert (s is None) == (b is None)
+                if s is not None:
+                    assert b.counts == s.counts and b.total == s.total
+                    assert b.log_prob == pytest.approx(s.log_prob, abs=1e-10)
+        gs, gb = seq.level_log_densities(), batch.level_log_densities()
+        assert np.isneginf(gb[3:]).all()
+        assert np.array_equal(np.isneginf(gb), np.isneginf(gs))
+        assert np.allclose(gb[np.isfinite(gs)], gs[np.isfinite(gs)], rtol=0, atol=1e-10)
+        assert np.isfinite(gs).any()
+        assert inc == pytest.approx(total, abs=1e-10)
+
     def test_batch_equals_sequential(self):
         rng = np.random.default_rng(6)
         xs, ys = rng.random(120), rng.random(120)

@@ -154,6 +154,72 @@ class TestBatch:
         assert st.total == 0
 
 
+
+class TestBatchCounts:
+    """A batch folded into an empty state waits as arrays until its counts are read."""
+
+    SYMBOLS = [4, 1, 4, 4, 0, 2, 4, 1]
+
+    @staticmethod
+    def sequential(symbols, m=6):
+        st = KtState(m)
+        for s in symbols:
+            st.observe(s)
+        return st
+
+    @staticmethod
+    def assert_same_state(got, want):
+        assert got.counts == want.counts
+        assert got.total == want.total
+        assert got.log_prob == pytest.approx(want.log_prob, abs=1e-12)
+
+    def test_predictive_then_observe_after_a_batch(self):
+        seq = self.sequential(self.SYMBOLS)
+        batch = KtState(6)
+        batch.observe_many(self.SYMBOLS)
+        for s in range(6):
+            assert batch.predictive(s) == seq.predictive(s)
+        assert batch.observe(4) == seq.observe(4)
+        assert batch.observe(5) == seq.observe(5)
+        self.assert_same_state(batch, seq)
+
+    def test_observe_first_after_a_batch(self):
+        seq = self.sequential(self.SYMBOLS + [1])
+        batch = KtState(6)
+        batch.observe_counts([0, 1, 2, 4], [1, 2, 1, 4])
+        batch.observe(1)
+        self.assert_same_state(batch, seq)
+
+    def test_counts_read_first_after_a_batch(self):
+        seq = self.sequential(self.SYMBOLS)
+        batch = KtState(6)
+        batch.observe_many(self.SYMBOLS)
+        assert batch.counts == {0: 1, 1: 2, 2: 1, 4: 4}
+        self.assert_same_state(batch, seq)
+
+    def test_batch_keeps_no_view_of_the_callers_arrays(self):
+        symbols, counts = np.array([1, 3]), np.array([2, 5])
+        st = KtState(4)
+        st.observe_counts(symbols, counts)
+        symbols[:], counts[:] = 0, 1
+        assert st.counts == {1: 2, 3: 5}
+
+    @pytest.mark.parametrize("prior", ["sequential", "batch", "batch-then-read"])
+    def test_batch_into_a_state_with_counts(self, prior):
+        head, tail = self.SYMBOLS[:5], self.SYMBOLS[5:] + [5, 4, 1]
+        seq = self.sequential(head + tail)
+        st = KtState(6)
+        if prior == "sequential":
+            for s in head:
+                st.observe(s)
+        else:
+            st.observe_many(head)
+            if prior == "batch-then-read":
+                assert st.counts == {0: 1, 1: 1, 4: 3}
+        st.observe_many(tail)
+        self.assert_same_state(st, seq)
+
+
 class TestUniversality:
     def test_kraft_equality_by_enumeration(self):
         for m in (2, 3):

@@ -84,3 +84,22 @@ def test_fixture_is_the_seeded_simulation(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert path.read_bytes() == (DATA / "fixture.csv").read_bytes()
+
+
+# The forest-mixed column kinds at 3000 rows: merged count tables and
+# per-state sums longer than numpy's 128-term pairwise-sum block, which the
+# 200-row fixture never reaches, so last-bit drift in a long sum shows here.
+TALL_COLUMNS = "x=gaussian,y=copy:x,z=gaussian,u=uniform,v=uniform,b=bernoulli,m=mixed,w=copy:m"
+TALL_FOREST_SHA256 = "3c62e58156b226cbb768d663e50c0666ef1479d3066fd087f1400d495a639d41"
+
+
+def test_tall_forest_report_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--columns", TALL_COLUMNS, "--rows", "3000", "--seed", "7",
+                 "--output", "mixed3000.csv"]) == 0
+    capsys.readouterr()
+    code = main(["forest", "mixed3000.csv"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == TALL_FOREST_SHA256, \
+        "the forest report on the 3000-row mixed simulation differs from its pinned bytes"
