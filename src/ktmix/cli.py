@@ -32,7 +32,7 @@ from .data import ColumnSchema, DatasetError, build_schema, parse_dataset
 from .estimator import MixtureEstimator
 from .joint import DEFAULT_JOINT_LEVEL, FittedColumn, build_forest, score_pair
 from .measure import OutOfSupportError
-from .partition import DEFAULT_MAX_LEVEL, CustomPartition, HistogramSequence
+from .partition import DEFAULT_MAX_LEVEL, CustomPartition, CutPointError, HistogramSequence
 
 __all__ = ["main"]
 
@@ -117,7 +117,7 @@ def _resolve_schemas(names, columns, args) -> list:
         with open(args.schema, "r", encoding="utf-8") as fh:
             try:
                 loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise DatasetError(f"--schema {args.schema}: not valid JSON: {exc}") from None
         entries = loaded.get("columns") if isinstance(loaded, dict) else loaded
         if not isinstance(entries, list):
@@ -151,14 +151,19 @@ def _resolve_schemas(names, columns, args) -> list:
 
 
 @contextmanager
-def _rows_named(path: str, name: str):
-    """Re-raise a batch fit's out-of-support error as a DatasetError naming row and column."""
+def _fit_named(path: str, name: str, levels_flags: str):
+    """Re-raise a column fit's errors as DatasetErrors naming the column: a value
+    outside the support with its row, and histogram cut points that collapse or
+    overflow in float64 with the flags that mend them."""
     try:
         yield
     except OutOfSupportError as exc:
         if exc.index is None:
             raise
         raise DatasetError(f"{path}: {exc} at row {exc.index + 2}, column {name!r}") from None
+    except CutPointError as exc:
+        raise DatasetError(f"column {name!r}: histogram {exc}; give another scale with "
+                           f"--sigma {name}=VALUE or fewer levels with {levels_flags}") from None
 
 
 def _column_estimator(schema: ColumnSchema, args) -> MixtureEstimator:
@@ -167,6 +172,8 @@ def _column_estimator(schema: ColumnSchema, args) -> MixtureEstimator:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 return MixtureEstimator(CustomPartition(json.load(fh)), schema.measure)
+            except UnicodeDecodeError as exc:
+                raise DatasetError(f"--partition {schema.name}={path}: not valid JSON: {exc}") from None
             except _MALFORMED as exc:
                 raise DatasetError(f"custom partition for {schema.name!r}: {_reason(exc)}") from None
     partition = HistogramSequence(schema.center, schema.scale, max_level=args.levels)
@@ -190,8 +197,8 @@ def _cmd_codelength(args):
     report["levels"] = args.levels
     report["columns"] = {}
     for name, column, schema in zip(names, columns, schemas):
-        est = _column_estimator(schema, args)
-        with _rows_named(args.data, name):
+        with _fit_named(args.data, name, "--levels"):
+            est = _column_estimator(schema, args)
             est.observe_many(column)
         bits = est.codelength_bits()
         report["columns"][name] = {
@@ -203,14 +210,19 @@ def _cmd_codelength(args):
 
 def _cmd_density(args):
     _parse_flags(args)
+    for flag, value in (("--grid-min", args.grid_min), ("--grid-max", args.grid_max)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite")
+    if args.grid_points < 1:
+        raise ValueError("--grid-points must be at least 1")
     names, columns = parse_dataset(args.data)
     schemas = _resolve_schemas(names, columns, args)
     if args.column not in names:
         raise DatasetError(f"unknown column {args.column!r}")
     idx = names.index(args.column)
     column, schema = columns[idx], schemas[idx]
-    est = _column_estimator(schema, args)
-    with _rows_named(args.data, args.column):
+    with _fit_named(args.data, args.column, "--levels"):
+        est = _column_estimator(schema, args)
         est.observe_many(column)
     lo = float(column.min()) if args.grid_min is None else args.grid_min
     hi = float(column.max()) if args.grid_max is None else args.grid_max
@@ -236,7 +248,7 @@ def _fit_columns(path, names, columns, schemas, wanted, args) -> dict:
     for name in dict.fromkeys(wanted):
         i = names.index(name)
         schema = schemas[i]
-        with _rows_named(path, name):
+        with _fit_named(path, name, "--levels/--joint-levels"):
             fitted[name] = FittedColumn.fit(
                 columns[i], measure=schema.measure, center=schema.center, scale=schema.scale,
                 levels=args.levels, joint_levels=args.joint_levels,

@@ -3,9 +3,10 @@
 Every density handled by this package is a Radon-Nikodym derivative with
 respect to one of the measures defined here: Lebesgue measure restricted to
 an interval, a weighted counting measure on an atom set, a positive
-rescaling, or a finite sum of parts.  Interval masses are evaluated in
-closed form -- including the rule-generated counting families -- so that
-codelength arithmetic never depends on a numeric summation cutoff.
+rescaling, or a finite sum of parts.  A measure gates samples (in_support)
+and prices cells through masses_half_open alone: every half-open cell (a, b]
+of a partition level at once, in closed form -- the rule-generated counting
+families included -- so codelength arithmetic never needs a summation cutoff.
 
 Sigma-finiteness holds by construction for every variant (the support
 decomposes into unit-length cells of finite mass), so it is not checked at
@@ -15,7 +16,7 @@ runtime.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,11 +82,6 @@ class Interval:
             raise ValueError("an infinite endpoint cannot be closed")
 
     @classmethod
-    def half_open(cls, lower: float, upper: float) -> "Interval":
-        """(lower, upper]; an infinite upper end degrades to open."""
-        return cls(lower, upper, False, not math.isinf(upper))
-
-    @classmethod
     def real_line(cls) -> "Interval":
         return cls(-INF, INF, False, False)
 
@@ -101,23 +97,6 @@ class Interval:
         return lo_ok & up_ok
 
 
-def _integer_range(cell: Interval) -> tuple[float, float]:
-    """Smallest and largest integers inside the cell; hi < lo means empty."""
-    if math.isinf(cell.lower):
-        lo = -INF
-    else:
-        lo = math.ceil(cell.lower)
-        if lo == cell.lower and not cell.lower_closed:
-            lo += 1
-    if math.isinf(cell.upper):
-        hi = INF
-    else:
-        hi = math.floor(cell.upper)
-        if hi == cell.upper and not cell.upper_closed:
-            hi -= 1
-    return lo, hi
-
-
 class ReferenceMeasure:
     """Common interface of the measure variants.
 
@@ -125,15 +104,11 @@ class ReferenceMeasure:
     concurrent readers.
     """
 
-    def measure_of(self, cell: Interval) -> float:
-        """Mass of the cell intersected with the support; may be +inf."""
-        raise NotImplementedError
-
     def masses_half_open(self, lows, highs) -> np.ndarray:
-        """Vectorized measure_of over half-open cells (lows[i], highs[i]].
+        """Mass within the support of each half-open cell (lows[i], highs[i]]; may be +inf.
 
-        An infinite end gives an unbounded cell.  This prices every cell of
-        a partition level at once (estimator.level_alphabet).
+        An infinite end gives an unbounded cell.  The one pricing path: it
+        takes every cell of a partition level at once (estimator.level_alphabet).
         """
         raise NotImplementedError
 
@@ -153,12 +128,6 @@ class LebesgueMeasure(ReferenceMeasure):
     """Lebesgue measure restricted to a support interval (the whole line by default)."""
 
     support: Interval = Interval.real_line()
-
-    def measure_of(self, cell: Interval) -> float:
-        # An endpoint has no length, so the closed flags never matter, and no
-        # interval has a closed infinite end, so inf - inf cannot arise.
-        s = self.support
-        return max(min(cell.upper, s.upper) - max(cell.lower, s.lower), 0.0)
 
     def masses_half_open(self, lows, highs) -> np.ndarray:
         lo = np.maximum(np.asarray(lows, dtype=float), self.support.lower)
@@ -238,22 +207,6 @@ class CountingMeasure(ReferenceMeasure):
     def harmonic_naturals(cls) -> "CountingMeasure":
         return cls(rule=RULE_HARMONIC, domain="naturals")
 
-    def measure_of(self, cell: Interval) -> float:
-        if self.rule is not None:
-            lo, hi = _integer_range(cell)
-            if self.domain == "naturals":
-                lo = max(lo, 1)
-            if lo > hi:
-                return 0.0
-            if self.rule == RULE_HARMONIC:
-                return 1.0 / lo if math.isinf(hi) else (hi + 1 - lo) / (hi + 1) / lo
-            if math.isinf(lo) or math.isinf(hi):
-                return INF
-            return float(hi - lo + 1)
-        lo_i = bisect_left(self.atoms, cell.lower) if cell.lower_closed else bisect_right(self.atoms, cell.lower)
-        hi_i = bisect_right(self.atoms, cell.upper) if cell.upper_closed else bisect_left(self.atoms, cell.upper)
-        return float(sum(self.weights[lo_i:hi_i]))
-
     def masses_half_open(self, lows, highs) -> np.ndarray:
         lows = np.asarray(lows, dtype=float)
         highs = np.asarray(highs, dtype=float)
@@ -319,9 +272,6 @@ class SumMeasure(ReferenceMeasure):
             if not isinstance(p, ReferenceMeasure):
                 raise TypeError("sum parts must be reference measures")
 
-    def measure_of(self, cell: Interval) -> float:
-        return sum(p.measure_of(cell) for p in self.parts)
-
     def masses_half_open(self, lows, highs) -> np.ndarray:
         total = self.parts[0].masses_half_open(lows, highs)
         for p in self.parts[1:]:
@@ -352,9 +302,6 @@ class ScaledMeasure(ReferenceMeasure):
     def __post_init__(self):
         if not (self.factor > 0 and math.isfinite(self.factor)):
             raise ValueError("scale factor must be strictly positive and finite")
-
-    def measure_of(self, cell: Interval) -> float:
-        return self.factor * self.base.measure_of(cell)
 
     def masses_half_open(self, lows, highs) -> np.ndarray:
         return self.factor * self.base.masses_half_open(lows, highs)

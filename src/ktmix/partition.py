@@ -32,12 +32,17 @@ from .measure import Interval, LebesgueMeasure, ReferenceMeasure
 
 __all__ = [
     "DEFAULT_MAX_LEVEL",
+    "CutPointError",
     "HistogramSequence",
     "CustomPartition",
     "Partition",
 ]
 
 DEFAULT_MAX_LEVEL = 16
+
+
+class CutPointError(ValueError):
+    """Cut points that are not finite and strictly increasing, e.g. collapsed in float64."""
 
 
 class LevelMap(NamedTuple):
@@ -71,9 +76,9 @@ class Partition:
             if arr.ndim != 1:
                 raise ValueError("cut-point lists must be one-dimensional")
             if arr.size and not np.all(np.isfinite(arr)):
-                raise ValueError("cut points must be finite")
+                raise CutPointError("cut points must be finite")
             if arr.size > 1 and not np.all(np.diff(arr) > 0):
-                raise ValueError(f"cut points at level {k} must be strictly increasing")
+                raise CutPointError(f"cut points at level {k} must be strictly increasing")
             arr.setflags(write=False)
             cuts.append(arr)
         if not cuts or cuts[0].size != 0:
@@ -137,7 +142,8 @@ def _universal_cuts(center: float, scale: float, max_level: int) -> list:
         nxt[0] = center - k * scale
         nxt[-1] = center + k * scale
         nxt[1:-1:2] = prev
-        nxt[2:-2:2] = 0.5 * (prev[:-1] + prev[1:])
+        with np.errstate(over="ignore"):    # Partition rejects an overflowed cut
+            nxt[2:-2:2] = 0.5 * (prev[:-1] + prev[1:])
         levels.append(nxt)
     return levels
 

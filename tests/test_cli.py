@@ -224,6 +224,18 @@ class TestDensity:
         assert report["density"][0] is not None
 
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--grid-min", "inf"), "--grid-min must be finite"),
+        (("--grid-min=-inf",), "--grid-min must be finite"),
+        (("--grid-max", "nan"), "--grid-max must be finite"),
+        (("--grid-points", "-3"), "--grid-points must be at least 1"),
+        (("--grid-points", "0"), "--grid-points must be at least 1"),
+    ])
+    def test_unusable_grid_flag_is_named(self, dataset, capsys, flags, message):
+        code, out, err = run_cli(capsys, "density", dataset, "u", "--levels", "4", *flags)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 class TestCustomPartition:
     def test_dyadic_partition_flag(self, dataset, tmp_path, capsys):
         levels = []
@@ -393,6 +405,49 @@ class TestErrors:
         assert code == 1
         assert err.startswith("error: custom partition for 'u': ")
         assert err.count("\n") == 1
+
+    def test_schema_file_that_is_not_utf8_names_flag_and_file(self, dataset, tmp_path, capsys):
+        schema_path = tmp_path / "bad.json"
+        schema_path.write_bytes(b"\xff\xfe{}")
+        code, _, err = run_cli(capsys, "codelength", dataset, "--schema", str(schema_path))
+        assert code == 1
+        assert err == (f"error: --schema {schema_path}: not valid JSON: 'utf-8' codec can't "
+                       "decode byte 0xff in position 0: invalid start byte\n")
+
+    def test_partition_file_that_is_not_utf8_names_flag_and_file(self, dataset, tmp_path,
+                                                                 capsys):
+        part_path = tmp_path / "badp.json"
+        part_path.write_bytes(b"\xff[[0.5]]")
+        code, _, err = run_cli(capsys, "codelength", dataset, "--partition", f"u={part_path}")
+        assert code == 1
+        assert err == (f"error: --partition u={part_path}: not valid JSON: 'utf-8' codec can't "
+                       "decode byte 0xff in position 0: invalid start byte\n")
+
+    @pytest.mark.filterwarnings("error")        # numpy warns when a cut overflows
+    @pytest.mark.parametrize("rows, flags, reason", [
+        # t = 1.7e9 s with millisecond jitter: by level 14 the cuts are closer
+        # than float64 spacing there.
+        (None, (), "at level 14 must be strictly increasing"),
+        # A center of 1e308: the cuts collapse first, or the midpoints overflow.
+        ("1,2\n3,4\n5,1\n", ("--mu", "t=1e308", "--sigma", "t=1"),
+         "at level 2 must be strictly increasing"),
+        ("1,2\n3,4\n5,1\n", ("--mu", "t=1e308", "--sigma", "t=1e300"), "must be finite"),
+    ], ids=["timestamps", "overflow", "overflow-to-inf"])
+    @pytest.mark.parametrize("command", ["codelength", "density", "indep", "forest"])
+    def test_histogram_cuts_that_collapse_or_overflow_name_column_and_flags(
+            self, tmp_path, capsys, rows, flags, reason, command):
+        if rows is None:
+            rng = np.random.default_rng(0)
+            t, u = 1.7e9 + rng.normal(0.0, 1e-3, 50), rng.standard_normal(50)
+            rows = "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), u.tolist()))
+        path = tmp_path / "ts.csv"
+        path.write_text("t,u\n" + rows)
+        columns = {"density": ("t",), "indep": ("t", "u")}.get(command, ())
+        code, _, err = run_cli(capsys, command, str(path), *columns, *flags)
+        levels = "--levels/--joint-levels" if command in ("indep", "forest") else "--levels"
+        assert code == 1
+        assert err == (f"error: column 't': histogram cut points {reason}; give another scale "
+                       f"with --sigma t=VALUE or fewer levels with {levels}\n")
 
     @pytest.mark.parametrize("text, flags, message", [
         ("a,b\n1e300,2\n-1e300,3\n4,1\n", (),

@@ -5,12 +5,21 @@ tables in closed form over the refinement tree; the sequential paths run the
 one-step KT recursion sample by sample.  Both must leave identical counts and
 agree on log densities within the bounds of the fixed-example tests (1e-9
 marginal, 1e-10 joint).  A joint whose y axis is one cell of mass 1 is the
-marginal of x at half the weight.  Also: every measure prices a half-open cell the same
-through measure_of and masses_half_open; the whole marginal and joint
-mixtures satisfy Kraft equality over weighted atoms; column-kind inference
-from one sort follows the stated rules; the finest-level count table read off
-a sorted batch equals the per-sample binning; and the vectorized dataset
-reader agrees with the cell-by-cell one, errors included.
+marginal of x at half the weight.
+
+Batch and sequential paths share level_alphabet, so a pricing or alphabet
+bug would pass both; the g^n oracle in oracle.py checks them end to end.  It
+prices every cell with its own scalar measure_of, straight from the measure's
+definition, and scores each level from cut points and kt_log_prob_closed_form
+alone.  The marginal batch, the marginal sequential and the joint batch paths
+must match it within the same bounds; level_alphabet must match its prices
+cell by cell, and masses_half_open its price of any half-open cell.
+
+Also: the whole marginal and joint mixtures satisfy Kraft equality over
+weighted atoms; column-kind inference from one sort follows the stated rules;
+the finest-level count table read off a sorted batch equals the per-sample
+binning; and the vectorized dataset reader agrees with the cell-by-cell one,
+errors included.
 """
 
 import itertools
@@ -23,11 +32,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ktmix.data import _kind_and_atoms, _parse_cells, parse_dataset
-from ktmix.estimator import MixtureEstimator, _Axis
+from ktmix.estimator import MixtureEstimator, _Axis, level_alphabet
 from ktmix.joint import JointEstimator
 from ktmix.kt import KtState, kt_log_prob_closed_form
 from ktmix.measure import CountingMeasure, Interval, LebesgueMeasure, scaled, sum_measure
 from ktmix.partition import CustomPartition, HistogramSequence
+from oracle import (joint_level_log_densities, level_cells, level_log_densities, level_weights,
+                    log_mixture, measure_of)
 
 
 def segments(n, cuts):
@@ -147,6 +158,33 @@ def test_joint_batch_equals_sequential(x, y, cuts):
 
 
 @given(column=columns())
+def test_marginal_paths_equal_the_gn_oracle(column):
+    partition, measure, ys = column
+    want = level_log_densities(partition, measure, ys.tolist())
+    want_total = log_mixture(level_weights(partition.max_level), want)
+    batch, seq = MixtureEstimator(partition, measure), MixtureEstimator(partition, measure)
+    batch.observe_many(ys)
+    for y in ys.tolist():
+        seq.observe(y)
+    for est in (batch, seq):
+        assert_same_levels(est.level_log_densities(), want, 1e-9)
+        assert_same_levels(est.log_density(), want_total, 1e-9)
+
+
+@given(x=columns(max_level=5, max_size=40), y=columns(max_level=5, max_size=40))
+def test_joint_batch_equals_the_gn_oracle(x, y):
+    (px, mx, xs), (py, my, ys) = x, y
+    n = min(xs.size, ys.size)
+    xs, ys = xs[:n], ys[:n]
+    want = joint_level_log_densities(px, py, mx, my, xs.tolist(), ys.tolist())
+    weights = np.outer(level_weights(px.max_level), level_weights(py.max_level))
+    joint = JointEstimator(px, py, mx, my)
+    joint.observe_many(xs, ys)
+    assert_same_levels(joint.level_log_densities(), want, 1e-10)
+    assert_same_levels(joint.log_density(), log_mixture(weights, want), 1e-10)
+
+
+@given(column=columns())
 def test_joint_with_a_one_cell_axis_is_the_marginal(column):
     # y = 0 on the one cell of a unit atom: the grid state (j, 0) codes the
     # level-j cells of x against mass 1, under the weight w_j * 1/2.
@@ -231,7 +269,7 @@ def test_finest_count_table_equals_the_binned_samples(batch):
 
 
 # Cell ends stay where float64 counts integers exactly, so the counting
-# rules' float arithmetic and measure_of's integer arithmetic can agree.
+# rules' float arithmetic and the oracle's integer arithmetic can agree.
 ENDS = st.floats(-2.0**50, 2.0**50)
 
 
@@ -242,7 +280,7 @@ def base_measures(draw):
     if kind == "lebesgue":
         lo, hi = sorted(draw(st.lists(ENDS, min_size=2, max_size=2, unique=True)))
         support = draw(st.sampled_from([
-            Interval.real_line(), Interval(lo, hi, True, False), Interval.half_open(lo, hi),
+            Interval.real_line(), Interval(lo, hi, True, False), Interval(lo, hi),
             Interval(lo, hi, True, True), Interval(-math.inf, hi, False, True),
         ]))
         return LebesgueMeasure(support)
@@ -281,7 +319,7 @@ def test_measure_of_equals_masses_half_open(measure, ends, open_ends):
     lo, hi = sorted(ends)
     lo = -math.inf if open_ends == "lower" else lo
     hi = math.inf if open_ends == "upper" else hi
-    scalar = measure.measure_of(Interval.half_open(lo, hi))
+    scalar = measure_of(measure, lo, hi)
     vector = measure.masses_half_open(np.array([lo]), np.array([hi]))
     assert vector.shape == (1,)
     if math.isinf(scalar):
@@ -289,6 +327,24 @@ def test_measure_of_equals_masses_half_open(measure, ends, open_ends):
     else:
         assert math.isclose(vector[0], scalar, rel_tol=1e-12,
                             abs_tol=1e-12 * total_atom_weight(measure))
+
+
+@given(measure=measures(), histogram=st.booleans(), center=st.floats(-20, 20),
+       scale=st.floats(0.01, 20), depth=st.integers(0, 8))
+def test_level_alphabet_keeps_the_cells_of_positive_oracle_mass(measure, histogram, center,
+                                                                scale, depth):
+    if histogram:
+        partition = HistogramSequence(center, scale, max_level=depth)
+    else:
+        partition = CustomPartition([np.arange(1, 2**k) / 2**k for k in range(1, depth + 1)])
+    for k in range(depth + 1):
+        raw_to_alpha, log_eta = level_alphabet(partition, measure, k)
+        masses = np.array(level_cells(partition, measure, k)[1])
+        kept = masses > 0
+        np.testing.assert_array_equal(raw_to_alpha[~kept], -1)
+        np.testing.assert_array_equal(raw_to_alpha[kept], np.arange(kept.sum()))
+        np.testing.assert_allclose(np.exp(log_eta), masses[kept], rtol=1e-12,
+                                   atol=1e-12 * total_atom_weight(measure))
 
 
 @st.composite
