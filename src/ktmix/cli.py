@@ -226,6 +226,9 @@ def _cmd_density(args):
         est.observe_many(column)
     lo = float(column.min()) if args.grid_min is None else args.grid_min
     hi = float(column.max()) if args.grid_max is None else args.grid_max
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"column {args.column!r}: density grid from {lo!r} to {hi!r} is wider "
+                         f"than the largest float; give nearer ends with --grid-min/--grid-max")
     grid = np.linspace(lo, hi, args.grid_points)
     density = []
     for point in grid:

@@ -16,6 +16,14 @@ one-step recursion for streaming use.  Both update the same counts, may be
 interleaved freely, and agree up to float rounding.  All accumulation
 happens in natural-log domain.
 
+The log-Gamma ports Cephes lgam (S. L. Moshier), which scipy.special.gammaln
+runs, for x > 0.  It calls math.log, the libm log the C code calls, in the same
+order, so it is bitwise equal to gammaln on multiples of 1/2, as every argument
+here is (c + 1/2, n + m/2).  Above 13 it keeps Stirling's series with the full
+polynomial where Cephes switches to a shorter series at 1000 and to Stirling
+alone above 1e8: on multiples of 1/2 both give the same bits there.  Folds read
+a table of lnG(c + 1/2) for c < _T = 4096 and call the port for larger counts.
+
 Counts are kept only for the symbols seen, since level alphabets can be
 large while samples touch few cells.  A batch folded into an empty state is
 kept as its sorted (symbols, counts) arrays, and the per-symbol dict that
@@ -29,9 +37,50 @@ import math
 from itertools import repeat
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = ["KtState", "kt_log_prob_closed_form"]
+
+# Cephes lgam coefficients: _A Stirling's series, _B / _C lnG on [2, 3).
+_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+      -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+      -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+      -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+
+
+def _lgamma(x: float) -> float:
+    """ln Gamma(x) for x > 0, bitwise equal to scipy.special.gammaln on multiples of 1/2."""
+    if x < 13.0:
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        x += p - 2.0
+        num, den = _B[0], x + _C[0]
+        for b, c in zip(_B[1:], _C[1:]):
+            num, den = num * x + b, den * x + c
+        return math.log(z) + x * num / den
+    p = 1.0 / (x * x)
+    return ((x - 0.5) * math.log(x) - x + 0.91893853320467274178        # ln sqrt(2 pi)
+            + ((((_A[0] * p + _A[1]) * p + _A[2]) * p + _A[3]) * p + _A[4]) / x)
+
+
+_T = 4096
+_LGAMMA_HALF = np.array([_lgamma(c + 0.5) for c in range(_T)])   # lnG(c + 1/2), c < _T
+
+
+def _lgamma_half(counts: np.ndarray) -> np.ndarray:
+    """lnG(counts + 1/2) for an int64 array of nonnegative counts."""
+    big = counts >= _T
+    out = _LGAMMA_HALF[np.where(big, 0, counts)]
+    out[big] = [_lgamma(c + 0.5) for c in counts[big].tolist()]
+    return out
 
 
 class KtState:
@@ -119,14 +168,14 @@ class KtState:
             before = np.fromiter(map(prior.get, keys, repeat(0)), dtype=np.int64, count=len(keys))
             after = before + counts
             prior.update(zip(keys, after.tolist()))
-            terms = gammaln(after + 0.5) - gammaln(before + 0.5)
+            terms = _lgamma_half(after) - _lgamma_half(before)
         else:
             self._counts, self._batch = None, (symbols, counts)
-            terms = gammaln(counts + 0.5) - gammaln(0.5)
+            terms = _lgamma_half(counts) - _LGAMMA_HALF[0]
         added = int(counts.sum())
         half_m = 0.5 * self.alphabet_size
         numerator = float(np.add.reduce(terms))
-        denominator = float(gammaln(self.total + added + half_m) - gammaln(self.total + half_m))
+        denominator = _lgamma(self.total + added + half_m) - _lgamma(self.total + half_m)
         self.total += added
         inc = numerator - denominator
         self.log_prob += inc
@@ -158,14 +207,14 @@ def kt_log_prob_closed_form(counts, alphabet_size: int) -> float:
         raise ValueError("alphabet size must be at least 1")
     total = 0
     result = 0.0
-    base = float(gammaln(0.5))
+    base = _lgamma(0.5)
     for sym, cnt in items:
         if not 0 <= sym < m:
             raise ValueError(f"symbol {sym} out of range")
         if cnt < 0:
             raise ValueError("counts must be nonnegative")
         if cnt:
-            result += float(gammaln(cnt + 0.5)) - base
+            result += _lgamma(int(cnt) + 0.5) - base
             total += int(cnt)
-    result += float(gammaln(0.5 * m)) - float(gammaln(total + 0.5 * m))
+    result += _lgamma(0.5 * m) - _lgamma(total + 0.5 * m)
     return result

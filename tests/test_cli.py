@@ -235,6 +235,19 @@ class TestDensity:
         code, out, err = run_cli(capsys, "density", dataset, "u", "--levels", "4", *flags)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.filterwarnings("error")        # np.linspace warns when hi - lo overflows
+    @pytest.mark.parametrize("rows, flags", [
+        ("1\n3\n5\n", ("--grid-min=-1.7e308", "--grid-max=1.7e308")),
+        ("-1.7e308\n0\n1.7e308\n", ("--sigma", "a=1")),     # the ends are the column's
+    ], ids=["flags", "column-ends"])
+    def test_grid_wider_than_the_largest_float_is_named(self, tmp_path, capsys, rows, flags):
+        path = tmp_path / "wide.csv"
+        path.write_text("a\n" + rows)
+        code, out, err = run_cli(capsys, "density", str(path), "a", "--grid-points", "5", *flags)
+        assert (code, out) == (1, "")
+        assert err == ("error: column 'a': density grid from -1.7e+308 to 1.7e+308 is wider than "
+                       "the largest float; give nearer ends with --grid-min/--grid-max\n")
+
 
 class TestCustomPartition:
     def test_dyadic_partition_flag(self, dataset, tmp_path, capsys):

@@ -1,10 +1,14 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ktmix.kt import KtState, kt_log_prob_closed_form
+from ktmix.kt import _LGAMMA_HALF, _T, KtState, _lgamma, kt_log_prob_closed_form
 
 
 class TestBasics:
@@ -262,3 +266,67 @@ class TestUniversality:
                     st.observe_many(symbols)
                     log_p = float(np.log(probs[symbols]).sum())
                     assert -st.log_prob + log_p <= 0.5 * (m - 1) * math.log(n) + 2.0
+
+
+class TestLogGamma:
+    """_lgamma is bitwise scipy.special.gammaln on the multiples of 1/2 the KT closed form takes."""
+
+    @pytest.fixture
+    def gammaln(self):
+        return pytest.importorskip("scipy.special").gammaln
+
+    @staticmethod
+    def assert_bitwise(xs, gammaln):
+        got = np.array([_lgamma(x) for x in xs.tolist()])
+        np.testing.assert_array_equal(got, gammaln(xs))
+
+    def test_every_half_integer_up_to_2_17(self, gammaln):
+        self.assert_bitwise(np.arange(1, 2**18 + 1) * 0.5, gammaln)
+
+    def test_random_half_integers_up_to_1e9(self, gammaln):
+        # mostly x > 1e8 (Stirling alone), some in [1000, 1e8] (the short series)
+        rng = np.random.default_rng(13)
+        self.assert_bitwise(rng.integers(1, 2 * 10**9, size=10_000, endpoint=True) * 0.5, gammaln)
+
+    def test_table_entries(self):
+        assert _LGAMMA_HALF.shape == (_T,)
+        assert _LGAMMA_HALF.tolist() == [_lgamma(c + 0.5) for c in range(_T)]
+
+
+def test_import_loads_no_scipy():
+    """import ktmix and its CLI load no scipy module: scipy is the tests' reference only."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import ktmix, ktmix.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"
+
+
+class TestTableEdge:
+    """Count tables whose counts straddle the end of the lnG(c + 1/2) table at _T = 4096."""
+
+    @pytest.mark.parametrize("counts", [(4095,), (4096,), (4097,), (4095, 4096, 4097)], ids=str)
+    @pytest.mark.parametrize("prior", [(), (0,), (0, 1, 1)], ids=["empty", "one", "three"])
+    def test_fold_across_the_table_edge(self, counts, prior):
+        m = len(counts) + 1
+        symbols = list(range(len(counts)))
+        seq, batch = KtState(m), KtState(m)
+        for s in prior:
+            seq.observe(s)
+            batch.observe(s)
+        for s, c in zip(symbols, counts):
+            for _ in range(c):
+                seq.observe(s)
+        inc = batch.observe_counts(symbols, counts)
+        assert batch.counts == seq.counts
+        assert batch.log_prob == pytest.approx(seq.log_prob, abs=1e-9)
+        assert batch.log_prob == pytest.approx(kt_log_prob_closed_form(seq.counts, m), abs=1e-9)
+        assert inc == pytest.approx(seq.log_prob - sum(map(KtState(m).observe, prior)), abs=1e-9)
+
+    def test_million_count_equals_the_closed_form(self):
+        # Into an empty state only: a fold into one holding counts subtracts two
+        # lnG near 1.3e7, where one float64 ulp (1.9e-9) is over the 1e-9 tolerance.
+        st = KtState(3)
+        st.observe_counts([0, 1], [1, 10**6])
+        assert st.log_prob == pytest.approx(kt_log_prob_closed_form({0: 1, 1: 10**6}, 3), abs=1e-9)
