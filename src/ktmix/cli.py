@@ -153,8 +153,8 @@ def _resolve_schemas(names, columns, args) -> list:
 @contextmanager
 def _fit_named(path: str, name: str, levels_flags: str):
     """Re-raise a column fit's errors as DatasetErrors naming the column: a value
-    outside the support with its row, and histogram cut points that collapse or
-    overflow in float64 with the flags that mend them."""
+    outside the support with its row, and histogram cut points that collapse,
+    overflow in float64 or exhaust memory with the flags that mend them."""
     try:
         yield
     except OutOfSupportError as exc:
@@ -164,6 +164,9 @@ def _fit_named(path: str, name: str, levels_flags: str):
     except CutPointError as exc:
         raise DatasetError(f"column {name!r}: histogram {exc}; give another scale with "
                            f"--sigma {name}=VALUE or fewer levels with {levels_flags}") from None
+    except MemoryError:
+        raise DatasetError(f"column {name!r}: the histogram levels do not fit in memory; "
+                           f"give fewer levels with {levels_flags}") from None
 
 
 def _column_estimator(schema: ColumnSchema, args) -> MixtureEstimator:
@@ -265,6 +268,9 @@ def _score(fitted, name_x, name_y, prior_p):
         return score_pair(fitted[name_x], fitted[name_y], prior_p)
     except ValueError as exc:
         raise ValueError(f"columns {name_x!r} and {name_y!r}: {exc}") from None
+    except MemoryError:
+        raise ValueError(f"columns {name_x!r} and {name_y!r}: the joint grid does not fit in "
+                         "memory; give fewer levels with --joint-levels") from None
 
 
 def _cmd_indep(args):

@@ -41,33 +41,16 @@ __all__ = ["LevelWeights", "MixtureEstimator", "level_alphabet"]
 LOG2 = math.log(2.0)
 
 
-def _check_weights(values, kind: str):
-    """Raise ValueError unless the weights are positive, finite and sum to at most 1."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError(f"at least one {kind} weight is required")
-    if not (np.all(values > 0) and np.all(np.isfinite(values))):
-        raise ValueError(f"{kind} weights must be strictly positive and finite")
-    if values.sum() > 1 + 1e-12:
-        raise ValueError(f"{kind} weights must sum to at most 1")
-
-
 @dataclass(frozen=True)
 class LevelWeights:
-    """Positive level weights with total at most 1.
+    """The level prior w_k = 1/((k+1)(k+2)), k = 0..max_level, defined once.
 
-    The default w_k = 1/((k+1)(k+2)) keeps deep levels alive with a heavy
-    tail; its truncated sum 1 - 1/(K+2) stays below 1, which preserves the
-    sub-probability property of the mixture.
+    Its heavy tail keeps deep levels alive, and its truncated sum 1 - 1/(K+2)
+    stays below 1, so the mixture is a sub-probability.  The estimators' grid
+    weights and any recomputation of a codelength outside them read default().
     """
 
     values: tuple
-
-    def __post_init__(self):
-        _check_weights(self.values, "level")
-
-    def __len__(self):
-        return len(self.values)
 
     @classmethod
     def default(cls, max_level: int) -> "LevelWeights":
@@ -172,24 +155,21 @@ class _Axis:
 
 
 class _LevelMixture:
-    """Weighted grid of KT states over product cells, one level per axis.
+    """Grid of KT states over product cells, one level per axis; point (j, k) weighs w_j w_k.
 
-    A grid point with an empty alphabet on some axis has no state and log
-    density -inf.  Each observation of a subclass ends with _advance.
+    The weights are each axis's LevelWeights.default.  A grid point with an
+    empty alphabet on some axis has no state and log density -inf.  Each
+    observation of a subclass ends with _advance.
     """
 
-    def __init__(self, axes, weights):
-        shape = tuple(len(axis.sizes) for axis in axes)
-        grid = np.asarray(weights, dtype=float)
-        if grid.shape != shape:
-            raise ValueError(f"weight grid shape {grid.shape} does not match {shape}")
-        _check_weights(grid, "grid")
+    def __init__(self, axes):
         self._axes = axes
         self.n = 0
-        self._log_w = np.log(grid)
+        self._log_w = np.log(reduce(np.multiply.outer, [
+            np.asarray(LevelWeights.default(len(axis.sizes) - 1).values) for axis in axes]))
         sizes = reduce(np.multiply.outer, [np.asarray(axis.sizes, dtype=np.int64) for axis in axes])
         states = [KtState(int(m)) if m else None for m in sizes.flat]
-        self._states = np.array(states, dtype=object).reshape(shape)
+        self._states = np.array(states, dtype=object).reshape(sizes.shape)
         self._ld = np.where(sizes > 0, 0.0, -math.inf)
 
     def _advance(self, count: int, old: float) -> float:
@@ -208,7 +188,7 @@ class _LevelMixture:
 
 
 class MixtureEstimator(_LevelMixture):
-    """Sequential level-mixture estimator for one variable.
+    """Sequential level-mixture estimator for one variable; level k weighs 1/((k+1)(k+2)).
 
     Parameters
     ----------
@@ -217,21 +197,15 @@ class MixtureEstimator(_LevelMixture):
     measure : ReferenceMeasure
         Reference measure the density is taken against; its support
         determines which samples are legal.
-    weights : LevelWeights, optional
-        One weight per level 0..max_level; defaults to LevelWeights.default.
 
     Single-writer during observation; the read-only queries (density_at,
     codelength_bits, level_posterior) may run concurrently between
     observations, and distinct estimators are fully independent.
     """
 
-    def __init__(self, partition: Partition, measure: ReferenceMeasure, weights: LevelWeights | None = None):
-        if weights is None:
-            weights = LevelWeights.default(partition.max_level)
-        if len(weights) != partition.max_level + 1:
-            raise ValueError(f"{len(weights)} weights for {partition.max_level + 1} levels")
-        super().__init__((_Axis(partition, measure),), weights.values)
-        self.partition, self.measure, self.weights = partition, measure, weights
+    def __init__(self, partition: Partition, measure: ReferenceMeasure):
+        super().__init__((_Axis(partition, measure),))
+        self.partition, self.measure = partition, measure
 
     # -- observation --------------------------------------------------------
 

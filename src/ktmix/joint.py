@@ -3,7 +3,7 @@
 JointEstimator is the two-axis grid of the level-mixture core in estimator.py:
 one KT state per level pair (j, k) over the product cells of level j for x and
 level k for y, divided by the product of the reference masses and mixed with
-positive grid weights summing to at most one.  Comparing the joint codelength
+weights w_j w_k (the level prior of each axis).  Comparing the joint codelength
 with the two marginal codelengths gives the Bayes factor
 
     log BF = log p + log g_x + log g_y - log(1 - p) - log g_xy
@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import default_scale
-from .estimator import LevelWeights, MixtureEstimator, _Axis, _dot, _LevelMixture, _merge_runs
+from .estimator import MixtureEstimator, _Axis, _dot, _LevelMixture, _merge_runs
 from .kt import KtState
 from .measure import LebesgueMeasure, OutOfSupportError, ReferenceMeasure
 from .partition import DEFAULT_MAX_LEVEL, HistogramSequence, Partition
@@ -49,17 +49,12 @@ DEFAULT_JOINT_LEVEL = 8
 class JointEstimator(_LevelMixture):
     """Level-grid mixture estimator for a pair of variables.
 
-    weights is a 2D array of shape (levels_x+1, levels_y+1); the default is
-    the product of the univariate level weights.
+    Level pair (j, k) has the weight w_j w_k, w_k = 1/((k+1)(k+2)) on each axis.
     """
 
     def __init__(self, partition_x: Partition, partition_y: Partition,
-                 measure_x: ReferenceMeasure, measure_y: ReferenceMeasure,
-                 weights=None):
-        if weights is None:
-            weights = np.outer(LevelWeights.default(partition_x.max_level).values,
-                               LevelWeights.default(partition_y.max_level).values)
-        super().__init__((_Axis(partition_x, measure_x), _Axis(partition_y, measure_y)), weights)
+                 measure_x: ReferenceMeasure, measure_y: ReferenceMeasure):
+        super().__init__((_Axis(partition_x, measure_x), _Axis(partition_y, measure_y)))
         self.partition_x, self.partition_y = partition_x, partition_y
         self.measure_x, self.measure_y = measure_x, measure_y
 

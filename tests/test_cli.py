@@ -6,6 +6,8 @@ import stat
 import numpy as np
 import pytest
 
+import ktmix.joint
+import ktmix.partition
 from ktmix.cli import main
 from ktmix.data import ColumnSchema, build_schema, parse_dataset
 from ktmix.estimator import MixtureEstimator
@@ -330,6 +332,10 @@ class TestStrictJson:
         assert live and all(math.isfinite(level["log_density"]) for level in live)
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
 class TestErrors:
     def test_unknown_column(self, dataset, capsys):
         code, _, err = run_cli(capsys, "indep", dataset, "x", "nope")
@@ -461,6 +467,28 @@ class TestErrors:
         assert code == 1
         assert err == (f"error: column 't': histogram cut points {reason}; give another scale "
                        f"with --sigma t=VALUE or fewer levels with {levels}\n")
+
+    @pytest.mark.parametrize("command", ["codelength", "density", "indep", "forest"])
+    def test_levels_that_exhaust_memory_name_column_and_flags(
+            self, dataset, capsys, monkeypatch, command):
+        # Stands in for a depth like --levels 40, whose cut arrays cannot be
+        # allocated; nothing that large is allocated here.
+        monkeypatch.setattr(ktmix.partition, "_universal_cuts", _out_of_memory)
+        columns = {"density": ("x",), "indep": ("x", "u")}.get(command, ())
+        code, _, err = run_cli(capsys, command, dataset, *columns)
+        levels = "--levels/--joint-levels" if command in ("indep", "forest") else "--levels"
+        assert code == 1
+        assert err == (f"error: column 'x': the histogram levels do not fit in memory; "
+                       f"give fewer levels with {levels}\n")
+
+    @pytest.mark.parametrize("argv", [("forest",), ("indep", "x", "u")])
+    def test_joint_grid_that_exhausts_memory_names_pair_and_flag(
+            self, dataset, capsys, monkeypatch, argv):
+        monkeypatch.setattr(ktmix.joint, "JointEstimator", _out_of_memory)
+        code, _, err = run_cli(capsys, argv[0], dataset, *argv[1:])
+        assert code == 1
+        assert err == ("error: columns 'x' and 'u': the joint grid does not fit in memory; "
+                       "give fewer levels with --joint-levels\n")
 
     @pytest.mark.parametrize("text, flags, message", [
         ("a,b\n1e300,2\n-1e300,3\n4,1\n", (),

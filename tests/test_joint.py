@@ -26,9 +26,9 @@ def unit_partitions(max_level):
     return px, py
 
 
-def unit_joint(max_level, weights=None):
+def unit_joint(max_level):
     px, py = unit_partitions(max_level)
-    return JointEstimator(px, py, LebesgueMeasure(UNIT), LebesgueMeasure(UNIT), weights)
+    return JointEstimator(px, py, LebesgueMeasure(UNIT), LebesgueMeasure(UNIT))
 
 
 class TestConstruction:
@@ -38,18 +38,9 @@ class TestConstruction:
         assert math.exp(joint.log_density()) == pytest.approx(wx * wx, abs=1e-12)
 
     def test_single_cell_grid(self):
-        joint = unit_joint(0, weights=np.array([[1.0]]))
+        joint = unit_joint(0)
         assert joint.observe(0.3, 0.8) == pytest.approx(0.0, abs=1e-15)
-        assert joint.log_density() == pytest.approx(0.0, abs=1e-15)
-
-    def test_weight_grid_mismatch(self):
-        px, py = unit_partitions(2)
-        with pytest.raises(ValueError):
-            JointEstimator(px, py, LebesgueMeasure(UNIT), LebesgueMeasure(UNIT),
-                           np.full((2, 3), 0.05))
-        with pytest.raises(ValueError):
-            JointEstimator(px, py, LebesgueMeasure(UNIT), LebesgueMeasure(UNIT),
-                           np.full(9, 0.05))  # the grid's weights, but flat
+        assert joint.log_density() == pytest.approx(math.log(0.25), abs=1e-15)  # w_0 w_0 = 1/4
 
     def test_non_refining_partition_rejected(self):
         good = HistogramSequence(0.0, 1.0, max_level=2)
