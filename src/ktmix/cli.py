@@ -5,14 +5,15 @@ Every subcommand is a pure function of the input file bytes and the flags
 sorted keys, and file output goes through a temp-file rename, so repeated
 runs produce byte-identical results.
 
-codelength and density fit one MixtureEstimator per column and accept
---partition (a custom refining partition per column); indep and forest do
-not take it.  They fit each column they need once, as a FittedColumn that
-keeps the marginal log density and the joint-depth partition, whose cells
-the first pair prices, and drops the deep estimator; every pair is scored
-from two of those (score_pair).  A column's schema measure both prices the
-cells and gates the samples: a value outside its support is reported with
-its row and column.
+codelength, indep and forest fit each column they need once, as a
+FittedColumn over the column's partition (_fit_columns): its histogram
+sequence, or the custom refining partition that --partition gives codelength
+and density (not indep and forest).  codelength reads the bits off it; indep
+and forest also keep its joint-depth partition, whose cells the first pair
+prices, and score every pair from two of those (score_pair).  density fits a
+MixtureEstimator, whose KT states its grid reads.  A column's schema measure
+both prices the cells and gates the samples: a value outside its support is
+reported with its row and column.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .data import ColumnSchema, DatasetError, build_schema, parse_dataset
 from .estimator import MixtureEstimator
 from .joint import DEFAULT_JOINT_LEVEL, FittedColumn, build_forest, score_pair
 from .measure import OutOfSupportError
-from .partition import DEFAULT_MAX_LEVEL, CustomPartition, CutPointError, HistogramSequence
+from .partition import DEFAULT_MAX_LEVEL, CustomPartition, CutPointError, HistogramSequence, Partition
 
 __all__ = ["main"]
 
@@ -169,18 +170,33 @@ def _fit_named(path: str, name: str, levels_flags: str):
                            f"give fewer levels with {levels_flags}") from None
 
 
-def _column_estimator(schema: ColumnSchema, args) -> MixtureEstimator:
+def _column_partition(schema: ColumnSchema, args) -> Partition:
+    """The column's --partition CustomPartition if it has one, else its HistogramSequence."""
     path = args.partition.get(schema.name)
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                return MixtureEstimator(CustomPartition(json.load(fh)), schema.measure)
-            except UnicodeDecodeError as exc:
-                raise DatasetError(f"--partition {schema.name}={path}: not valid JSON: {exc}") from None
-            except _MALFORMED as exc:
-                raise DatasetError(f"custom partition for {schema.name!r}: {_reason(exc)}") from None
-    partition = HistogramSequence(schema.center, schema.scale, max_level=args.levels)
-    return MixtureEstimator(partition, schema.measure)
+    if path is None:
+        return HistogramSequence(schema.center, schema.scale, max_level=args.levels)
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            partition = CustomPartition(json.load(fh))
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"--partition {schema.name}={path}: not valid JSON: {exc}") from None
+        except _MALFORMED as exc:
+            raise DatasetError(f"custom partition for {schema.name!r}: {_reason(exc)}") from None
+    if not partition.verify_refinement():
+        raise DatasetError(f"custom partition for {schema.name!r}: partition is not a refinement "
+                           "sequence: some level drops a cut point of the level before")
+    return partition
+
+
+def _load_columns(args, *wanted):
+    """(names, columns, schemas) of the input file, its flags checked and the wanted columns found."""
+    _parse_flags(args)
+    names, columns = parse_dataset(args.data)
+    schemas = _resolve_schemas(names, columns, args)
+    for name in wanted:
+        if name not in names:
+            raise DatasetError(f"unknown column {name!r}")
+    return names, columns, schemas
 
 
 def _base_report(command: str, args, names, columns, schemas) -> dict:
@@ -193,39 +209,28 @@ def _base_report(command: str, args, names, columns, schemas) -> dict:
 
 
 def _cmd_codelength(args):
-    _parse_flags(args)
-    names, columns = parse_dataset(args.data)
-    schemas = _resolve_schemas(names, columns, args)
+    names, columns, schemas = _load_columns(args)
     report = _base_report("codelength", args, names, columns, schemas)
     report["levels"] = args.levels
     report["columns"] = {}
-    for name, column, schema in zip(names, columns, schemas):
-        with _fit_named(args.data, name, "--levels"):
-            est = _column_estimator(schema, args)
-            est.observe_many(column)
-        bits = est.codelength_bits()
-        report["columns"][name] = {
-            "codelength_bits": bits,
-            "bits_per_sample": bits / column.size,
-        }
+    for name, fitted in _fit_columns(args.data, names, columns, schemas, names, args).items():
+        bits = fitted.codelength_bits()
+        report["columns"][name] = {"codelength_bits": bits,
+                                   "bits_per_sample": bits / fitted.values.size}
     _emit(report, args.output)
 
 
 def _cmd_density(args):
-    _parse_flags(args)
     for flag, value in (("--grid-min", args.grid_min), ("--grid-max", args.grid_max)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{flag} must be finite")
     if args.grid_points < 1:
         raise ValueError("--grid-points must be at least 1")
-    names, columns = parse_dataset(args.data)
-    schemas = _resolve_schemas(names, columns, args)
-    if args.column not in names:
-        raise DatasetError(f"unknown column {args.column!r}")
+    names, columns, schemas = _load_columns(args, args.column)
     idx = names.index(args.column)
     column, schema = columns[idx], schemas[idx]
     with _fit_named(args.data, args.column, "--levels"):
-        est = _column_estimator(schema, args)
+        est = MixtureEstimator(_column_partition(schema, args), schema.measure)
         est.observe_many(column)
     lo = float(column.min()) if args.grid_min is None else args.grid_min
     hi = float(column.max()) if args.grid_max is None else args.grid_max
@@ -249,16 +254,15 @@ def _cmd_density(args):
 
 
 def _fit_columns(path, names, columns, schemas, wanted, args) -> dict:
-    """FittedColumn of each distinct wanted column name, fitted in the order given."""
+    """FittedColumn of each distinct wanted column in order, with its --joint-levels partition if set."""
+    joint_levels = getattr(args, "joint_levels", None)
+    flags = "--levels" if joint_levels is None else "--levels/--joint-levels"
     fitted = {}
     for name in dict.fromkeys(wanted):
         i = names.index(name)
-        schema = schemas[i]
-        with _fit_named(path, name, "--levels/--joint-levels"):
-            fitted[name] = FittedColumn.fit(
-                columns[i], measure=schema.measure, center=schema.center, scale=schema.scale,
-                levels=args.levels, joint_levels=args.joint_levels,
-            )
+        with _fit_named(path, name, flags):
+            fitted[name] = FittedColumn.fit(columns[i], _column_partition(schemas[i], args),
+                                            schemas[i].measure, joint_levels)
     return fitted
 
 
@@ -274,12 +278,7 @@ def _score(fitted, name_x, name_y, prior_p):
 
 
 def _cmd_indep(args):
-    _parse_flags(args)
-    names, columns = parse_dataset(args.data)
-    schemas = _resolve_schemas(names, columns, args)
-    for col in (args.col_x, args.col_y):
-        if col not in names:
-            raise DatasetError(f"unknown column {col!r}")
+    names, columns, schemas = _load_columns(args, args.col_x, args.col_y)
     fitted = _fit_columns(args.data, names, columns, schemas, (args.col_x, args.col_y), args)
     pair = _score(fitted, args.col_x, args.col_y, args.prior_p)
     report = _base_report("indep", args, names, columns, schemas)
@@ -289,17 +288,11 @@ def _cmd_indep(args):
 
 
 def _cmd_forest(args):
-    _parse_flags(args)
-    names, columns = parse_dataset(args.data)
-    schemas = _resolve_schemas(names, columns, args)
+    names, columns, schemas = _load_columns(args)
     fitted = _fit_columns(args.data, names, columns, schemas, names, args)
-    pair_table = {}
-    pairs_out = []
-    for name_x, name_y in combinations(names, 2):
-        pair = _score(fitted, name_x, name_y, args.prior_p)
-        pair_table[(name_x, name_y)] = pair
-        pairs_out.append({"columns": sorted((name_x, name_y)), **pair.to_dict()})
-    pairs_out.sort(key=lambda entry: entry["columns"])
+    pair_table = {(x, y): _score(fitted, x, y, args.prior_p) for x, y in combinations(names, 2)}
+    pairs_out = sorted(({"columns": sorted(pair), **report.to_dict()}
+                        for pair, report in pair_table.items()), key=lambda entry: entry["columns"])
     edges = build_forest(pair_table)
     report = _base_report("forest", args, names, columns, schemas)
     report["pairs"] = pairs_out

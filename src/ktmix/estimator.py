@@ -99,6 +99,11 @@ def _dot(counts: np.ndarray, values: np.ndarray) -> float:
     return float(np.sum(counts * values))
 
 
+def _codelength_bits(log_density: float) -> float:
+    """-log2 of a density given by its natural log; +inf for density zero."""
+    return math.inf if log_density == -math.inf else -log_density / LOG2
+
+
 def _logsumexp(values: np.ndarray) -> float:
     hi = float(np.max(values))
     if hi == -math.inf:
@@ -281,8 +286,7 @@ class MixtureEstimator(_LevelMixture):
         negative for continuous data (differential codelength).  +inf when no
         level covers all observed cells with finite mass.
         """
-        lm = self.log_density()
-        return math.inf if lm == -math.inf else -lm / LOG2
+        return _codelength_bits(self.log_density())
 
     def level_posterior(self) -> list:
         """Posterior weight of each level given the data; sums to 1."""

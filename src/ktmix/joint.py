@@ -15,7 +15,8 @@ evidence.
 
 g_x and g_y do not depend on the pair, so each column is fitted once
 (FittedColumn) and every pair that contains it costs one joint fit only
-(score_pair): d marginal fits and d(d-1)/2 joint fits for a forest.
+(score_pair): d marginal fits and d(d-1)/2 joint fits for a forest.  The
+same fit gives the column's codelength -log2 g_x (FittedColumn.codelength_bits).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import default_scale
-from .estimator import MixtureEstimator, _Axis, _dot, _LevelMixture, _merge_runs
+from .estimator import MixtureEstimator, _Axis, _codelength_bits, _dot, _LevelMixture, _merge_runs
 from .kt import KtState
 from .measure import LebesgueMeasure, OutOfSupportError, ReferenceMeasure
 from .partition import DEFAULT_MAX_LEVEL, HistogramSequence, Partition
@@ -156,43 +157,38 @@ class PairReport:
 
 @dataclass(frozen=True, eq=False)
 class FittedColumn:
-    """One column fitted once, holding only what its pair analyses read.
+    """One column fitted once, holding only what its reports and pair analyses read.
 
-    log_density is the marginal mixture's log g over values at the marginal
-    depth; partition is the column's histogram sequence cut at the joint
-    depth, whose cell alphabets (the reference mass of every cell) are priced
-    by the first pair the column is in and reused by the rest.  The deep marginal estimator and
-    its partition are dropped after the fit, so a forest over d columns keeps
-    d shallow partitions, not d deep ones.
+    log_density is the marginal mixture's log g over values.  partition is the
+    column's histogram sequence cut again at the joint depth (None when fitted
+    without joint_levels), whose cell alphabets the first pair prices and the
+    rest reuse.  The marginal estimator and its deep partition are dropped after
+    the fit, so a forest over d columns keeps d shallow partitions, not d deep ones.
     """
 
     values: np.ndarray
     measure: ReferenceMeasure
-    partition: HistogramSequence
+    partition: HistogramSequence | None
     log_density: float
 
     @classmethod
-    def fit(cls, values, *, measure: ReferenceMeasure | None = None,
-            center: float | None = None, scale: float | None = None,
-            levels: int = DEFAULT_MAX_LEVEL,
-            joint_levels: int = DEFAULT_JOINT_LEVEL) -> "FittedColumn":
-        """Fit the level mixture of depth levels to values.
+    def fit(cls, values, partition: Partition, measure: ReferenceMeasure,
+            joint_levels: int | None = None) -> "FittedColumn":
+        """Fit the level mixture over partition to values, priced against measure.
 
-        The measure defaults to Lebesgue on the line, the center and scale to
-        the sample mean and standard deviation.
+        With joint_levels, partition must be a HistogramSequence: its center
+        and scale cut the joint-depth partition of the column's pairs.
         """
         values = np.asarray(values, dtype=float)
-        measure = LebesgueMeasure() if measure is None else measure
-        center = float(np.mean(values)) if center is None else float(center)
-        scale = default_scale(values) if scale is None else float(scale)
-        marginal = MixtureEstimator(HistogramSequence(center, scale, max_level=levels), measure)
+        marginal = MixtureEstimator(partition, measure)
         marginal.observe_many(values)
-        return cls(
-            values=values,
-            measure=measure,
-            partition=HistogramSequence(center, scale, max_level=joint_levels),
-            log_density=marginal.log_density(),
-        )
+        shallow = None if joint_levels is None else HistogramSequence(
+            partition.center, partition.scale, max_level=joint_levels)
+        return cls(values, measure, shallow, marginal.log_density())
+
+    def codelength_bits(self) -> float:
+        """-log2 g^n of the column, as MixtureEstimator.codelength_bits."""
+        return _codelength_bits(self.log_density)
 
 
 def score_pair(fx: FittedColumn, fy: FittedColumn, prior_p: float = 0.5) -> PairReport:
@@ -203,6 +199,8 @@ def score_pair(fx: FittedColumn, fy: FittedColumn, prior_p: float = 0.5) -> Pair
     """
     if not 0 < prior_p < 1:
         raise ValueError("prior_p must lie strictly between 0 and 1")
+    if fx.partition is None or fy.partition is None:
+        raise ValueError("a column fitted without joint_levels cannot be paired")
     log_gx, log_gy = fx.log_density, fy.log_density
     for label, value in (("x", log_gx), ("y", log_gy)):
         if value == -math.inf:
@@ -234,17 +232,22 @@ def analyze_pair(xs, ys, *,
                  levels: int = DEFAULT_MAX_LEVEL,
                  joint_levels: int = DEFAULT_JOINT_LEVEL,
                  prior_p: float = 0.5) -> PairReport:
-    """Fit both columns (FittedColumn.fit), then score the pair (score_pair)."""
+    """Fit both columns (FittedColumn.fit), then score the pair (score_pair).  Center, scale
+    and measure default to the sample mean, default_scale and Lebesgue measure."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ValueError("paired samples must be equal-length one-dimensional arrays")
     if xs.size < 1:
         raise ValueError("at least one sample pair is required")
-    depths = {"levels": levels, "joint_levels": joint_levels}
-    fx = FittedColumn.fit(xs, measure=measure_x, center=center_x, scale=scale_x, **depths)
-    fy = FittedColumn.fit(ys, measure=measure_y, center=center_y, scale=scale_y, **depths)
-    return score_pair(fx, fy, prior_p)
+
+    def fit(values, measure, center, scale):   # the deep partition dies with this frame
+        partition = HistogramSequence(np.mean(values) if center is None else center,
+                                      default_scale(values) if scale is None else scale, max_level=levels)
+        return FittedColumn.fit(values, partition, measure or LebesgueMeasure(), joint_levels)
+
+    return score_pair(fit(xs, measure_x, center_x, scale_x), fit(ys, measure_y, center_y, scale_y),
+                      prior_p)
 
 
 class ForestEdge(NamedTuple):

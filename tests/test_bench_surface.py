@@ -64,6 +64,20 @@ def test_tracing_wraps_counts_and_restores_the_library(bench):
         assert metrics[name] > 0, name
 
 
+def test_tracing_counts_an_analyze_pair_as_one_pair_of_two_fits(bench):
+    spans, _ = bench
+    rng = np.random.default_rng(1)
+    xs = rng.standard_normal(300)
+    tracer = spans.Tracer()
+    with spans.traced(ktmix, tracer):
+        report = ktmix.analyze_pair(xs, xs + 0.1 * rng.standard_normal(300), levels=10)
+    assert report.decision == "dependent"
+    metrics = spans.layer_metrics(tracer, 1.0, columns=1)
+    assert metrics["joint.pairs"] == 1
+    assert metrics["estimator.fits_per_column"] == 2.0   # one marginal fit per column of the pair
+    assert metrics["joint.analyze_pair.s"] > 0
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "mixed", "bernoulli"])
 def test_closed_form_recomputation_matches_the_estimator(bench, kind):
     _, workloads = bench

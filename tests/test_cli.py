@@ -332,6 +332,23 @@ class TestStrictJson:
         assert live and all(math.isfinite(level["log_density"]) for level in live)
 
 
+def _assert_cut_error_names_column_and_flags(tmp_path, capsys, rows, flags, reason, command):
+    """Run command on the rows of columns t,u (default: jittered timestamps in t) and check
+    that the histogram cut-point error names column t and the flags that mend it."""
+    if rows is None:
+        rng = np.random.default_rng(0)
+        t, u = 1.7e9 + rng.normal(0.0, 1e-3, 50), rng.standard_normal(50)
+        rows = "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), u.tolist()))
+    path = tmp_path / "ts.csv"
+    path.write_text("t,u\n" + rows)
+    columns = {"density": ("t",), "indep": ("t", "u")}.get(command, ())
+    code, _, err = run_cli(capsys, command, str(path), *columns, *flags)
+    levels = "--levels/--joint-levels" if command in ("indep", "forest") else "--levels"
+    assert code == 1
+    assert err == (f"error: column 't': histogram cut points {reason}; give another scale "
+                   f"with --sigma t=VALUE or fewer levels with {levels}\n")
+
+
 def _out_of_memory(*args, **kwargs):
     raise MemoryError
 
@@ -455,18 +472,18 @@ class TestErrors:
     @pytest.mark.parametrize("command", ["codelength", "density", "indep", "forest"])
     def test_histogram_cuts_that_collapse_or_overflow_name_column_and_flags(
             self, tmp_path, capsys, rows, flags, reason, command):
-        if rows is None:
-            rng = np.random.default_rng(0)
-            t, u = 1.7e9 + rng.normal(0.0, 1e-3, 50), rng.standard_normal(50)
-            rows = "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), u.tolist()))
-        path = tmp_path / "ts.csv"
-        path.write_text("t,u\n" + rows)
-        columns = {"density": ("t",), "indep": ("t", "u")}.get(command, ())
-        code, _, err = run_cli(capsys, command, str(path), *columns, *flags)
-        levels = "--levels/--joint-levels" if command in ("indep", "forest") else "--levels"
-        assert code == 1
-        assert err == (f"error: column 't': histogram cut points {reason}; give another scale "
-                       f"with --sigma t=VALUE or fewer levels with {levels}\n")
+        _assert_cut_error_names_column_and_flags(tmp_path, capsys, rows, flags, reason, command)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["indep", "forest"])
+    def test_joint_depth_cuts_that_collapse_name_column_and_flags(self, tmp_path, capsys,
+                                                                  command):
+        # The marginal depth 4 is fine; the joint-depth partition of the
+        # timestamp column collapses at level 14, while the column is fitted
+        # and before any pair is scored.
+        _assert_cut_error_names_column_and_flags(
+            tmp_path, capsys, None, ("--levels", "4", "--joint-levels", "20"),
+            "at level 14 must be strictly increasing", command)
 
     @pytest.mark.parametrize("command", ["codelength", "density", "indep", "forest"])
     def test_levels_that_exhaust_memory_name_column_and_flags(

@@ -1,12 +1,15 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from ktmix.data import default_scale
 from ktmix.estimator import LevelWeights, MixtureEstimator
-from ktmix.joint import (FittedColumn, JointEstimator, PairReport, analyze_pair, build_forest,
-                         score_pair)
+from ktmix.joint import (DEFAULT_JOINT_LEVEL, FittedColumn, JointEstimator, PairReport,
+                         analyze_pair, build_forest, score_pair)
 from ktmix.measure import (
     CountingMeasure,
     Interval,
@@ -15,7 +18,7 @@ from ktmix.measure import (
     scaled,
     sum_measure,
 )
-from ktmix.partition import CustomPartition, HistogramSequence
+from ktmix.partition import DEFAULT_MAX_LEVEL, CustomPartition, HistogramSequence
 
 UNIT = Interval(0.0, 1.0, True, False)
 
@@ -249,11 +252,18 @@ class TestAnalyzePair:
             analyze_pair([1.0], [2.0], prior_p=1.0)
 
 
+def fit_column(values, measure=None, levels=DEFAULT_MAX_LEVEL, joint_levels=DEFAULT_JOINT_LEVEL):
+    """FittedColumn.fit on the histogram sequence at the sample mean and default_scale."""
+    values = np.asarray(values, dtype=float)
+    partition = HistogramSequence(values.mean(), default_scale(values), max_level=levels)
+    return FittedColumn.fit(values, partition, measure or LebesgueMeasure(), joint_levels)
+
+
 class TestFittedColumn:
     def test_keeps_the_marginal_density_and_a_joint_depth_partition(self):
         rng = np.random.default_rng(7)
         xs = rng.standard_normal(300)
-        fitted = FittedColumn.fit(xs, levels=12, joint_levels=5)
+        fitted = fit_column(xs, levels=12, joint_levels=5)
         est = MixtureEstimator(HistogramSequence(xs.mean(), xs.std(), max_level=12), LebesgueMeasure())
         est.observe_many(xs)
         assert fitted.log_density == est.log_density()
@@ -265,8 +275,8 @@ class TestFittedColumn:
         xs = rng.standard_normal(400)
         ys = np.where(rng.random(400) < 0.5, 0.0, xs + rng.standard_normal(400))
         zero_inflated = sum_measure(LebesgueMeasure(), CountingMeasure.from_atoms([0.0]))
-        fx = FittedColumn.fit(xs, levels=10, joint_levels=6)
-        fy = FittedColumn.fit(ys, measure=zero_inflated, levels=10, joint_levels=6)
+        fx = fit_column(xs, levels=10, joint_levels=6)
+        fy = fit_column(ys, measure=zero_inflated, levels=10, joint_levels=6)
         direct = analyze_pair(xs, ys, measure_y=zero_inflated, levels=10, joint_levels=6,
                               prior_p=0.3)
         # the same fitted columns serve several pairs and priors
@@ -274,17 +284,46 @@ class TestFittedColumn:
         assert score_pair(fx, fy, 0.3) == direct
 
     def test_pair_validation(self):
-        fx = FittedColumn.fit([0.1, 0.2, 0.3])
+        fx = fit_column([0.1, 0.2, 0.3])
         with pytest.raises(ValueError, match="equal-length"):
-            score_pair(fx, FittedColumn.fit([0.1, 0.2]))
+            score_pair(fx, fit_column([0.1, 0.2]))
         with pytest.raises(ValueError, match="prior_p"):
             score_pair(fx, fx, 0.0)
 
     def test_collapsed_marginal_is_named(self):
-        dead = FittedColumn.fit([0.5, 1.5], levels=1)   # level cells of infinite mass only
-        live = FittedColumn.fit([0.5, 1.5])
+        dead = fit_column([0.5, 1.5], levels=1)   # level cells of infinite mass only
+        live = fit_column([0.5, 1.5])
         with pytest.raises(ValueError, match="the y estimator collapsed"):
             score_pair(live, dead)
+
+    @pytest.mark.parametrize("joint_levels", [None, 4])
+    def test_keeps_no_reference_to_the_marginal_partition(self, joint_levels):
+        xs = np.random.default_rng(9).standard_normal(200)
+        partition = HistogramSequence(xs.mean(), xs.std(), max_level=12)
+        fitted = FittedColumn.fit(xs, partition, LebesgueMeasure(), joint_levels)
+        gone = weakref.ref(partition)
+        del partition
+        gc.collect()
+        assert gone() is None
+        assert (fitted.partition is None) == (joint_levels is None)
+
+    @pytest.mark.parametrize("values, levels", [
+        (np.random.default_rng(10).standard_normal(500), 10),
+        ([0.5, 1.5], 1),   # the dead column above: +inf bits
+    ])
+    def test_codelength_equals_the_estimators(self, values, levels):
+        values = np.asarray(values, dtype=float)
+        partition = HistogramSequence(values.mean(), default_scale(values), max_level=levels)
+        est = MixtureEstimator(partition, LebesgueMeasure())
+        est.observe_many(values)
+        bits = fit_column(values, levels=levels, joint_levels=None).codelength_bits()
+        assert bits == est.codelength_bits()
+        assert (bits == math.inf) == (levels == 1)
+
+    def test_a_column_fitted_without_joint_levels_is_not_paired(self):
+        fx = fit_column([0.1, 0.2, 0.3], joint_levels=None)
+        with pytest.raises(ValueError, match="without joint_levels"):
+            score_pair(fx, fit_column([0.3, 0.2, 0.1]))
 
 
 def _fake_report(log_bf):
