@@ -199,7 +199,7 @@ def _load_columns(args, *wanted):
     return names, columns, schemas
 
 
-def _base_report(command: str, args, names, columns, schemas) -> dict:
+def _base_report(command: str, args, columns, schemas) -> dict:
     return {
         "command": command,
         "input": args.data,
@@ -210,7 +210,7 @@ def _base_report(command: str, args, names, columns, schemas) -> dict:
 
 def _cmd_codelength(args):
     names, columns, schemas = _load_columns(args)
-    report = _base_report("codelength", args, names, columns, schemas)
+    report = _base_report("codelength", args, columns, schemas)
     report["levels"] = args.levels
     report["columns"] = {}
     for name, fitted in _fit_columns(args.data, names, columns, schemas, names, args).items():
@@ -237,14 +237,18 @@ def _cmd_density(args):
     if not math.isfinite(hi - lo):
         raise ValueError(f"column {args.column!r}: density grid from {lo!r} to {hi!r} is wider "
                          f"than the largest float; give nearer ends with --grid-min/--grid-max")
-    grid = np.linspace(lo, hi, args.grid_points)
+    try:
+        grid = np.linspace(lo, hi, args.grid_points)
+    except MemoryError:
+        raise ValueError(f"column {args.column!r}: a density grid of {args.grid_points} points does "
+                         "not fit in memory; give fewer points with --grid-points") from None
     density = []
     for point in grid:
         try:
             density.append(est.density_at(float(point)))
         except OutOfSupportError:
             density.append(None)
-    report = _base_report("density", args, names, columns, schemas)
+    report = _base_report("density", args, columns, schemas)
     report["column"] = args.column
     report["levels"] = args.levels
     report["grid"] = [float(g) for g in grid]
@@ -281,7 +285,7 @@ def _cmd_indep(args):
     names, columns, schemas = _load_columns(args, args.col_x, args.col_y)
     fitted = _fit_columns(args.data, names, columns, schemas, (args.col_x, args.col_y), args)
     pair = _score(fitted, args.col_x, args.col_y, args.prior_p)
-    report = _base_report("indep", args, names, columns, schemas)
+    report = _base_report("indep", args, columns, schemas)
     report["columns"] = [args.col_x, args.col_y]
     report["report"] = pair.to_dict()
     _emit(report, args.output)
@@ -294,7 +298,7 @@ def _cmd_forest(args):
     pairs_out = sorted(({"columns": sorted(pair), **report.to_dict()}
                         for pair, report in pair_table.items()), key=lambda entry: entry["columns"])
     edges = build_forest(pair_table)
-    report = _base_report("forest", args, names, columns, schemas)
+    report = _base_report("forest", args, columns, schemas)
     report["pairs"] = pairs_out
     report["edges"] = [{"columns": [e.u, e.v], "weight": e.weight} for e in edges]
     _emit(report, args.output)
@@ -327,23 +331,28 @@ def _cmd_simulate(args):
         raise ValueError("--rows must be at least 1")
     rng = np.random.default_rng(args.seed)
     data: dict[str, np.ndarray] = {}
-    for name, kind in specs:
-        if kind == "gaussian":
-            data[name] = rng.standard_normal(args.rows)
-        elif kind == "uniform":
-            data[name] = rng.random(args.rows)
-        elif kind == "bernoulli":
-            data[name] = rng.integers(0, 2, args.rows).astype(float)
-        elif kind == "mixed":
-            spike = rng.random(args.rows) < 0.5
-            body = rng.random(args.rows)
-            data[name] = np.where(spike, 1.0, body)
-        else:
-            data[name] = data[kind[len("copy:"):]].copy()
-    lines = [",".join(name for name, _ in specs)]
-    for i in range(args.rows):
-        lines.append(",".join(repr(float(data[name][i])) for name, _ in specs))
-    _atomic_write(args.output, "\n".join(lines) + "\n")
+    try:   # every step below holds arrays or text of --rows rows
+        for name, kind in specs:
+            if kind == "gaussian":
+                data[name] = rng.standard_normal(args.rows)
+            elif kind == "uniform":
+                data[name] = rng.random(args.rows)
+            elif kind == "bernoulli":
+                data[name] = rng.integers(0, 2, args.rows).astype(float)
+            elif kind == "mixed":
+                spike = rng.random(args.rows) < 0.5
+                body = rng.random(args.rows)
+                data[name] = np.where(spike, 1.0, body)
+            else:
+                data[name] = data[kind[len("copy:"):]].copy()
+        lines = [",".join(name for name, _ in specs)]
+        for i in range(args.rows):
+            lines.append(",".join(repr(float(data[name][i])) for name, _ in specs))
+        text = "\n".join(lines) + "\n"
+    except MemoryError:
+        raise ValueError(f"{args.rows} simulated rows do not fit in memory; "
+                         "give fewer with --rows") from None
+    _atomic_write(args.output, text)
     summary = {
         "command": "simulate",
         "columns": [name for name, _ in specs],

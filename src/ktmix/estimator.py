@@ -128,9 +128,9 @@ class _Axis:
         self.raw_to_alpha, self.log_eta = zip(*(level_alphabet(partition, measure, k) for k in levels))
         self.sizes = [log_eta.size for log_eta in self.log_eta]
 
-    def check(self, y: float, label: str = "value"):
+    def check(self, y: float):
         if not (self.partition.in_support(y) and self.measure.in_support(y)):
-            raise OutOfSupportError(f"{label} {y!r} lies outside the support")
+            raise OutOfSupportError(f"value {y!r} lies outside the support")
 
     def mask(self, ys: np.ndarray) -> np.ndarray:
         return self.partition.in_support_many(ys) & self.measure.in_support_many(ys)
@@ -210,7 +210,6 @@ class MixtureEstimator(_LevelMixture):
 
     def __init__(self, partition: Partition, measure: ReferenceMeasure):
         super().__init__((_Axis(partition, measure),))
-        self.partition, self.measure = partition, measure
 
     # -- observation --------------------------------------------------------
 
@@ -273,7 +272,7 @@ class MixtureEstimator(_LevelMixture):
             if state is None or a < 0:
                 candidate[k] = -math.inf
             else:
-                candidate[k] = self._ld[k] + state.log_predictive(a) - axis.log_eta[k][a]
+                candidate[k] = self._ld[k] + math.log(state.predictive(a)) - axis.log_eta[k][a]
         old = self.log_density()
         if old == -math.inf:
             return 0.0

@@ -48,7 +48,7 @@ DEFAULT_JOINT_LEVEL = 8
 
 
 class JointEstimator(_LevelMixture):
-    """Level-grid mixture estimator for a pair of variables.
+    """Level-grid mixture estimator for a pair of variables, fitted in batches only.
 
     Level pair (j, k) has the weight w_j w_k, w_k = 1/((k+1)(k+2)) on each axis.
     """
@@ -57,39 +57,21 @@ class JointEstimator(_LevelMixture):
                  measure_x: ReferenceMeasure, measure_y: ReferenceMeasure):
         super().__init__((_Axis(partition_x, measure_x), _Axis(partition_y, measure_y)))
         self.partition_x, self.partition_y = partition_x, partition_y
-        self.measure_x, self.measure_y = measure_x, measure_y
-
-    def observe(self, x: float, y: float) -> float:
-        """Fold one pair in; returns the log predictive mixture density."""
-        x, y = float(x), float(y)
-        axis_x, axis_y = self._axes
-        axis_x.check(x, "x value")
-        axis_y.check(y, "y value")
-        old = self.log_density()
-        ax, ay = axis_x.alphas(x), axis_y.alphas(y)
-        for (j, k), state in np.ndenumerate(self._states):
-            if state is None:
-                continue
-            a, b = ax[j], ay[k]
-            if a < 0 or b < 0:
-                self._ld[j, k] = -math.inf
-                continue
-            inc = state.observe(a * axis_y.sizes[k] + b)
-            self._ld[j, k] += inc - axis_x.log_eta[j][a] - axis_y.log_eta[k][b]
-        return self._advance(1, old)
 
     def observe_many(self, xs, ys) -> float:
-        """Fold a batch of pairs in; equivalent to observe() loops up to rounding.
+        """Fold a batch of pairs in; returns the total log-density increment.
 
+        A KT probability depends only on the final counts, so batches folded
+        in one by one (of one pair each, say) equal their union up to rounding.
         The pairs are binned once on the grid of the two finest levels, and
         each finest cell's ancestors are found at every level.  Each x level j
         then takes one pass over all y levels: sorted by (level-j x cell,
         finest y cell), the valid symbols a * m_k + b of every y level k come
         out non-decreasing, so with each level's symbols shifted into a key
         range of its own, one run merge gives the count tables of all the
-        states in row j.  Each state is
-        scored from its table in closed form; a level pair with a sample in
-        a cell of zero mass is dead, though its state still counts the rest.
+        states in row j.  Each state is scored from its table in closed form;
+        a level pair with a sample in a cell of zero mass is dead, though its
+        state still counts the rest.
         """
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)

@@ -125,11 +125,8 @@ class KtState:
             count = self.counts.get(symbol, 0)
         return (count + 0.5) / (self.total + 0.5 * self.alphabet_size)
 
-    def log_predictive(self, symbol: int) -> float:
-        return math.log(self.predictive(symbol))
-
     def observe(self, symbol: int) -> float:
-        inc = self.log_predictive(symbol)   # leaves _counts a dict
+        inc = math.log(self.predictive(symbol))   # leaves _counts a dict
         self._counts[symbol] = self._counts.get(symbol, 0) + 1
         self.total += 1
         self.log_prob += inc

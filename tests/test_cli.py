@@ -507,6 +507,29 @@ class TestErrors:
         assert err == ("error: columns 'x' and 'u': the joint grid does not fit in memory; "
                        "give fewer levels with --joint-levels\n")
 
+    def test_density_grid_that_exhausts_memory_names_flag(self, dataset, capsys, monkeypatch):
+        # Stands in for the 72.8 TiB grid of 1e13 points; nothing that large is allocated here.
+        monkeypatch.setattr(np, "linspace", _out_of_memory)
+        code, out, err = run_cli(capsys, "density", dataset, "u", "--levels", "4",
+                                 "--grid-points", "10000000000000")
+        assert (code, out) == (1, "")
+        assert err == ("error: column 'u': a density grid of 10000000000000 points does not fit "
+                       "in memory; give fewer points with --grid-points\n")
+
+    def test_simulated_rows_that_exhaust_memory_name_flag(self, tmp_path, capsys, monkeypatch):
+        class NoMemoryRng:   # every draw fails, as a 1e13-row column would
+            def __getattr__(self, name):
+                return _out_of_memory
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: NoMemoryRng())
+        path = tmp_path / "big.csv"
+        code, out, err = run_cli(capsys, "simulate", "--columns", "x=gaussian", "--rows",
+                                 "10000000000000", "--output", str(path))
+        assert (code, out) == (1, "")
+        assert err == ("error: 10000000000000 simulated rows do not fit in memory; "
+                       "give fewer with --rows\n")
+        assert not path.exists()
+
     @pytest.mark.parametrize("text, flags, message", [
         ("a,b\n1e300,2\n-1e300,3\n4,1\n", (),
          "column 'a': histogram scale inf is not positive and finite; "

@@ -42,7 +42,7 @@ class TestConstruction:
 
     def test_single_cell_grid(self):
         joint = unit_joint(0)
-        assert joint.observe(0.3, 0.8) == pytest.approx(0.0, abs=1e-15)
+        assert joint.observe_many([0.3], [0.8]) == pytest.approx(0.0, abs=1e-15)
         assert joint.log_density() == pytest.approx(math.log(0.25), abs=1e-15)  # w_0 w_0 = 1/4
 
     def test_non_refining_partition_rejected(self):
@@ -56,7 +56,7 @@ class TestConstruction:
 class TestObserve:
     def test_first_pair_has_density_one_on_uniform_setup(self):
         joint = unit_joint(2)
-        assert joint.observe(0.3, 0.6) == pytest.approx(0.0, abs=1e-14)
+        assert joint.observe_many([0.3], [0.6]) == pytest.approx(0.0, abs=1e-14)
 
     def test_unbounded_levels_contribute_zero(self):
         joint = JointEstimator(
@@ -64,7 +64,7 @@ class TestObserve:
             HistogramSequence(0.0, 1.0, max_level=2),
             LebesgueMeasure(), LebesgueMeasure(),
         )
-        joint.observe(0.3, 0.4)
+        joint.observe_many([0.3], [0.4])
         gld = joint.level_log_densities()
         assert gld[0, 0] == -math.inf
         assert gld[0, 2] == -math.inf   # any grid point touching level 0 is dead
@@ -73,7 +73,7 @@ class TestObserve:
     def test_out_of_support(self):
         joint = unit_joint(2)
         with pytest.raises(OutOfSupportError):
-            joint.observe(0.5, 1.5)
+            joint.observe_many([0.5], [1.5])
         with pytest.raises(OutOfSupportError):
             joint.observe_many([0.1, 2.0], [0.1, 0.2])
         with pytest.raises(OutOfSupportError) as info:
@@ -88,7 +88,7 @@ class TestObserve:
                                LebesgueMeasure(UNIT), LebesgueMeasure())
         for x, y in ((math.nan, 0.5), (0.5, math.nan), (0.5, math.inf)):
             with pytest.raises(OutOfSupportError):
-                joint.observe(x, y)
+                joint.observe_many([x], [y])
             with pytest.raises(OutOfSupportError) as info:
                 joint.observe_many([0.5, x], [0.5, y])
             assert info.value.index == 1
@@ -114,7 +114,7 @@ class TestObserve:
         xs = np.zeros(40)
         ys = np.random.default_rng(4).integers(1, 6, 40).astype(float)
         seq, batch = JointEstimator(px, py, mx, my), JointEstimator(px, py, mx, my)
-        total = sum(seq.observe(x, y) for x, y in zip(xs.tolist(), ys.tolist()))
+        total = sum(seq.observe_many([x], [y]) for x, y in zip(xs.tolist(), ys.tolist()))
         inc = batch.observe_many(xs, ys)
         for j in range(6):
             for k in range(4):
@@ -134,7 +134,7 @@ class TestObserve:
         rng = np.random.default_rng(6)
         xs, ys = rng.random(120), rng.random(120)
         seq, batch = unit_joint(3), unit_joint(3)
-        total = sum(seq.observe(float(x), float(y)) for x, y in zip(xs, ys))
+        total = sum(seq.observe_many([x], [y]) for x, y in zip(xs.tolist(), ys.tolist()))
         inc = batch.observe_many(xs, ys)
         assert batch.log_density() == pytest.approx(seq.log_density(), abs=1e-10)
         assert inc == pytest.approx(total, abs=1e-10)
@@ -158,7 +158,7 @@ class TestGridKraft:
             for labels in itertools.product(range(4), repeat=n):
                 joint = unit_joint(1)
                 for lab in labels:
-                    joint.observe(reps[lab // 2], reps[lab % 2])
+                    joint.observe_many([reps[lab // 2]], [reps[lab % 2]])
                 total += math.exp(joint.grid_state(1, 1).log_prob)
             assert total == pytest.approx(1.0, abs=1e-12)
 

@@ -1,11 +1,13 @@
 """Property tests on random inputs.
 
-Batch fits equal sequential observe() loops: the batch paths score count
-tables in closed form over the refinement tree; the sequential paths run the
-one-step KT recursion sample by sample.  Both must leave identical counts and
-agree on log densities within the bounds of the fixed-example tests (1e-9
-marginal, 1e-10 joint).  A joint whose y axis is one cell of mass 1 is the
-marginal of x at half the weight.
+Batch fits equal sequential ones: the batch paths score count tables in
+closed form over the refinement tree; the marginal's sequential path runs the
+one-step KT recursion sample by sample, and the joint, which is fitted in
+batches only, folds one-pair batches in one after another.  Both must leave
+identical counts and agree on log densities within the bounds of the
+fixed-example tests (1e-9 marginal, 1e-10 joint).  A joint whose y axis is one
+cell of mass 1 is the marginal of x at half the weight, fitted at once or one
+sample at a time.
 
 Batch and sequential paths share level_alphabet, so a pricing or alphabet
 bug would pass both; the g^n oracle in oracle.py checks them end to end.  It
@@ -139,14 +141,14 @@ def test_joint_batch_equals_sequential(x, y, cuts):
     xs, ys = xs[:n], ys[:n]
     seq = JointEstimator(px, py, mx, my)
     for a, b in zip(xs.tolist(), ys.tolist()):
-        seq.observe(a, b)
+        seq.observe_many([a], [b])
     mixed = JointEstimator(px, py, mx, my)
     for lo, hi, as_batch in segments(n, cuts):
         if as_batch:
             mixed.observe_many(xs[lo:hi], ys[lo:hi])
         else:
             for a, b in zip(xs[lo:hi].tolist(), ys[lo:hi].tolist()):
-                mixed.observe(a, b)
+                mixed.observe_many([a], [b])
     for j in range(px.max_level + 1):
         for k in range(py.max_level + 1):
             s, m = seq.grid_state(j, k), mixed.grid_state(j, k)
@@ -187,7 +189,9 @@ def test_joint_batch_equals_the_gn_oracle(x, y):
 @given(column=columns())
 def test_joint_with_a_one_cell_axis_is_the_marginal(column):
     # y = 0 on the one cell of a unit atom: the grid state (j, 0) codes the
-    # level-j cells of x against mass 1, under the weight w_j * 1/2.
+    # level-j cells of x against mass 1, under the weight w_j * 1/2.  One
+    # sample at a time, both sides fold one-sample count tables; the
+    # marginal's one-step recursion would round differently (by ~1e-16).
     partition, measure, xs = column
     atom = CountingMeasure.from_atoms([0.0])
     py = HistogramSequence(0, 1, support=atom, max_level=0)
@@ -199,8 +203,8 @@ def test_joint_with_a_one_cell_axis_is_the_marginal(column):
             joint.observe_many(xs, np.zeros_like(xs))
         else:
             for x in xs.tolist():
-                marginal.observe(x)
-                joint.observe(x, 0.0)
+                marginal.observe_many([x])
+                joint.observe_many([x], [0.0])
         want, got = marginal.level_log_densities(), joint.level_log_densities()[:, 0]
         live = np.isfinite(want)
         assert np.array_equal(np.isfinite(got), live)
