@@ -22,7 +22,6 @@ import argparse
 import json
 import math
 import os
-import secrets
 import sys
 from contextlib import contextmanager
 from itertools import combinations
@@ -92,7 +91,7 @@ def _emit(report: dict, output: str | None):
 
 def _atomic_write(path: str, text: str):
     """Write path by a rename; the file gets mode 0o666 less the umask, as from a shell redirect."""
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".ktmix-{secrets.token_hex(8)}")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".ktmix-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

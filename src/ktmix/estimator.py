@@ -12,6 +12,10 @@ core serves both estimators: _Axis holds one variable's levels (cut points,
 cell alphabets, reference masses, sample gate) and _LevelMixture the weighted
 grid of KT states, one level per axis.  MixtureEstimator is the one-axis
 grid, joint.JointEstimator the two-axis grid; each keeps its own loops.
+The one-sample path (observe, density_at) makes no numpy call per level: it
+bisects zero-copy memoryviews of the level tables and reads and writes the
+level log densities as Python floats.  The mixture's log density is cached
+and refreshed once per observation, so observe runs one log-sum-exp.
 
 Densities are Radon-Nikodym derivatives with respect to the configured
 measure.  A cell of infinite reference mass contributes density zero at its
@@ -27,6 +31,7 @@ counting-measure codelengths with unit weights are literal code lengths.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 
@@ -72,7 +77,8 @@ def level_alphabet(partition: Partition, measure: ReferenceMeasure, k: int):
     if cached is not None and cached[0] is measure:
         return cached[1]
     cuts = partition.level_map(k).cuts
-    eta = measure.masses_half_open(np.append(-math.inf, cuts), np.append(cuts, math.inf))
+    ends = np.concatenate(([-math.inf], cuts, [math.inf]))
+    eta = measure.masses_half_open(ends[:-1], ends[1:])
     keep = eta > 0
     alphabet = (np.where(keep, np.cumsum(keep) - 1, -1), np.log(eta[keep]))
     for table in alphabet:
@@ -127,6 +133,10 @@ class _Axis:
         self.cuts = [partition.level_map(k).cuts for k in levels]
         self.raw_to_alpha, self.log_eta = zip(*(level_alphabet(partition, measure, k) for k in levels))
         self.sizes = [log_eta.size for log_eta in self.log_eta]
+        self._views = None
+
+    def __getstate__(self):
+        return {**self.__dict__, "_views": None}   # memoryviews do not pickle or copy
 
     def check(self, y: float):
         if not (self.partition.in_support(y) and self.measure.in_support(y)):
@@ -135,10 +145,17 @@ class _Axis:
     def mask(self, ys: np.ndarray) -> np.ndarray:
         return self.partition.in_support_many(ys) & self.measure.in_support_many(ys)
 
-    def alphas(self, y: float) -> list:
-        """Alphabet index of y's cell at every level; -1 where the cell has no mass."""
-        return [int(r2a[int(np.searchsorted(cuts, y, side="left"))])
-                for r2a, cuts in zip(self.raw_to_alpha, self.cuts)]
+    def cells(self, y: float) -> list:
+        """(alphabet index, log reference masses) of y's cell at every level; index -1 if massless.
+
+        Bisects memoryviews of the level tables, built on the first call, so
+        that batch fits never build them and a lookup makes no numpy call;
+        bisect_left keeps the (a, b] cells of finest.
+        """
+        if self._views is None:
+            self._views = [tuple(map(memoryview, tables))
+                           for tables in zip(self.cuts, self.raw_to_alpha, self.log_eta)]
+        return [(r2a[bisect_left(cuts, y)], log_eta) for cuts, r2a, log_eta in self._views]
 
     def finest(self, ys: np.ndarray) -> np.ndarray:
         """Raw finest-level cell of each sample: the joint's per-sample binning."""
@@ -164,7 +181,8 @@ class _LevelMixture:
 
     The weights are each axis's LevelWeights.default.  A grid point with an
     empty alphabet on some axis has no state and log density -inf.  Each
-    observation of a subclass ends with _advance.
+    observation of a subclass ends with _advance, which refreshes the cached
+    mixture log density that log_density() returns.
     """
 
     def __init__(self, axes):
@@ -176,16 +194,18 @@ class _LevelMixture:
         states = [KtState(int(m)) if m else None for m in sizes.flat]
         self._states = np.array(states, dtype=object).reshape(sizes.shape)
         self._ld = np.where(sizes > 0, 0.0, -math.inf)
+        self._log_g = _logsumexp((self._log_w + self._ld).ravel())
 
-    def _advance(self, count: int, old: float) -> float:
-        """Count samples just folded in; the log-density increment since old."""
+    def _advance(self, count: int) -> float:
+        """Count samples just folded in; refresh log g^n and return its increment."""
+        old = self._log_g
         self.n += count
-        new = self.log_density()
+        self._log_g = new = _logsumexp((self._log_w + self._ld).ravel())
         return new - old if new > -math.inf else -math.inf
 
     def log_density(self) -> float:
         """Accumulated log g^n; equals log(sum of the weights) at n = 0."""
-        return _logsumexp((self._log_w + self._ld).ravel())
+        return self._log_g
 
     def level_log_densities(self) -> np.ndarray:
         """Unweighted log density per level, or per level pair (j, k) of a joint; -inf if dead."""
@@ -218,14 +238,14 @@ class MixtureEstimator(_LevelMixture):
         y = float(y)
         axis, = self._axes
         axis.check(y)
-        old = self.log_density()
-        for k, a in enumerate(axis.alphas(y)):
+        ld = memoryview(self._ld)   # per-level reads and writes as Python floats
+        for k, (a, log_eta) in enumerate(axis.cells(y)):
             if a < 0:
-                self._ld[k] = -math.inf
+                ld[k] = -math.inf
                 continue
             inc = self._states[k].observe(a)
-            self._ld[k] += inc - axis.log_eta[k][a]
-        return self._advance(1, old)
+            ld[k] += inc - log_eta[a]
+        return self._advance(1)
 
     def observe_many(self, ys) -> float:
         """Fold a batch in; returns the total log-density increment.
@@ -245,7 +265,6 @@ class MixtureEstimator(_LevelMixture):
         if not ok.all():
             i = int(np.flatnonzero(~ok)[0])
             raise OutOfSupportError(f"value {float(ys[i])!r} lies outside the support", index=i)
-        old = self.log_density()
         table = axis.finest_counts(ys)
         cells = np.flatnonzero(table)
         counts = table[cells]
@@ -258,7 +277,7 @@ class MixtureEstimator(_LevelMixture):
                 self._ld[k] += inc - _dot(level_counts, axis.log_eta[k][symbols])
             else:
                 self._ld[k] = -math.inf
-        return self._advance(ys.size, old)
+        return self._advance(ys.size)
 
     # -- queries ------------------------------------------------------------
 
@@ -267,16 +286,13 @@ class MixtureEstimator(_LevelMixture):
         y = float(y)
         axis, = self._axes
         axis.check(y)
-        candidate = np.empty(len(self._states))
-        for k, (state, a) in enumerate(zip(self._states, axis.alphas(y))):
-            if state is None or a < 0:
-                candidate[k] = -math.inf
-            else:
-                candidate[k] = self._ld[k] + math.log(state.predictive(a)) - axis.log_eta[k][a]
-        old = self.log_density()
-        if old == -math.inf:
+        ld = memoryview(self._ld)
+        candidate = [-math.inf if state is None or a < 0
+                     else ld[k] + math.log(state.predictive(a)) - log_eta[a]
+                     for k, (state, (a, log_eta)) in enumerate(zip(self._states, axis.cells(y)))]
+        if self._log_g == -math.inf:
             return 0.0
-        return math.exp(_logsumexp(self._log_w + candidate) - old)
+        return math.exp(_logsumexp(self._log_w + candidate) - self._log_g)
 
     def codelength_bits(self) -> float:
         """-log2 g^n, the density-form codelength against the reference measure.

@@ -85,7 +85,6 @@ class JointEstimator(_LevelMixture):
             i = int(np.flatnonzero(~ok)[0])
             raise OutOfSupportError(
                 f"pair ({float(xs[i])!r}, {float(ys[i])!r}) lies outside the support", index=i)
-        old = self.log_density()
         ny = axis_y.cuts[-1].size + 1
         pairs, counts = np.unique(axis_x.finest(xs) * ny + axis_y.finest(ys), return_counts=True)
         cells_x, cells_y = np.divmod(pairs, ny)
@@ -114,7 +113,7 @@ class JointEstimator(_LevelMixture):
                     self._ld[j, k] += inc - _dot(c, eta_x + axis_y.log_eta[k][b[k]])
                 else:
                     self._ld[j, k] = -math.inf
-        return self._advance(xs.size, old)
+        return self._advance(xs.size)
 
     def grid_state(self, j: int, k: int) -> KtState | None:
         """KT state of one grid point; None when that grid point has no alphabet."""

@@ -226,9 +226,13 @@ class CountingMeasure(ReferenceMeasure):
         lo_idx = np.searchsorted(atoms, lows, side="right")
         # Sum each cell's own weights: a difference of cumulative sums would
         # cancel away most digits of a light atom's mass next to heavy ones.
-        bounds = np.stack((lo_idx, hi_idx), axis=-1).ravel()
-        sums = np.add.reduceat(np.append(self.weights, 0.0), bounds)[::2]
-        return np.where(hi_idx > lo_idx, sums, 0.0)
+        # Only the cells that hold an atom are summed, so pricing a fine level
+        # makes no temporaries twice its size.
+        cells = np.flatnonzero(hi_idx > lo_idx)
+        bounds = np.stack((lo_idx[cells], hi_idx[cells]), axis=-1).ravel()
+        mass = np.zeros(lo_idx.shape)
+        mass[cells] = np.add.reduceat(np.append(self.weights, 0.0), bounds)[::2]
+        return mass
 
     def in_support(self, y: float) -> bool:
         if self.rule is not None:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -142,6 +144,17 @@ class TestObserve:
         est2 = MixtureEstimator(HistogramSequence(0.0, 1.0, max_level=8), LebesgueMeasure())
         est2.observe_many(shuffled)
         assert est.log_density() == pytest.approx(est2.log_density(), abs=1e-9)
+
+    @pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda est: pickle.loads(pickle.dumps(est))],
+                             ids=["deepcopy", "pickle"])
+    def test_a_copy_resumes_the_stream(self, duplicate):
+        est = unit_uniform_estimator(max_level=6)
+        est.observe(0.3)
+        est.density_at(0.5)                 # the one-sample lookup tables exist now
+        twin = duplicate(est)
+        assert twin.observe(0.7) == est.observe(0.7)
+        assert twin.density_at(0.1) == est.density_at(0.1)
+        assert twin.log_density() == est.log_density()
 
     def test_batch_equals_sequential(self):
         rng = np.random.default_rng(8)

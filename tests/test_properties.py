@@ -20,8 +20,10 @@ cell by cell, and masses_half_open its price of any half-open cell.
 Also: the whole marginal and joint mixtures satisfy Kraft equality over
 weighted atoms; column-kind inference from one sort follows the stated rules;
 the finest-level count table read off a sorted batch equals the per-sample
-binning; and the vectorized dataset reader agrees with the cell-by-cell one,
-errors included.
+binning; the one-sample cell lookup finds the batch path's cell at every
+level; the cached mixture log density equals a fresh log-sum-exp after every
+observation, rejected ones included; and the vectorized dataset reader agrees
+with the cell-by-cell one, errors included.
 """
 
 import itertools
@@ -30,14 +32,16 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ktmix.data import _kind_and_atoms, _parse_cells, parse_dataset
-from ktmix.estimator import MixtureEstimator, _Axis, level_alphabet
+from ktmix.estimator import MixtureEstimator, _Axis, _logsumexp, level_alphabet
 from ktmix.joint import JointEstimator
 from ktmix.kt import KtState, kt_log_prob_closed_form
-from ktmix.measure import CountingMeasure, Interval, LebesgueMeasure, scaled, sum_measure
+from ktmix.measure import (CountingMeasure, Interval, LebesgueMeasure, OutOfSupportError, scaled,
+                           sum_measure)
 from ktmix.partition import CustomPartition, HistogramSequence
 from oracle import (joint_level_log_densities, level_cells, level_log_densities, level_weights,
                     log_mixture, measure_of)
@@ -128,6 +132,32 @@ def test_mixture_batch_equals_sequential(column, cuts):
     assert_same_levels(mixed.log_density(), seq.log_density(), 1e-9)
     if math.isfinite(seq_total):
         assert math.isclose(mixed_total, seq_total, rel_tol=0, abs_tol=1e-9)
+
+
+@given(column=columns(), cuts=st.lists(st.integers(0, 60), max_size=4))
+def test_cached_log_density_is_never_stale(column, cuts):
+    partition, measure, ys = column
+    est = MixtureEstimator(partition, measure)
+
+    def assert_fresh():
+        assert est.log_density() == _logsumexp((est._log_w + est.level_log_densities()).ravel())
+
+    def rejected(observe, sample):
+        with pytest.raises(OutOfSupportError):
+            observe(sample)
+        assert_fresh()
+
+    assert_fresh()
+    for lo, hi, as_batch in segments(ys.size, cuts):
+        if as_batch:
+            est.observe_many(ys[lo:hi])
+            assert_fresh()
+            rejected(est.observe_many, np.append(ys[lo:hi], math.nan))
+        else:
+            for y in ys[lo:hi].tolist():
+                est.observe(y)
+                assert_fresh()
+                rejected(est.observe, math.nan)
 
 
 @given(
@@ -270,6 +300,19 @@ def test_finest_count_table_equals_the_binned_samples(batch):
     np.testing.assert_array_equal(table, want)
     np.testing.assert_array_equal(ys, given_ys)           # not sorted in place
     np.testing.assert_array_equal(np.signbit(ys), np.signbit(given_ys))
+
+
+@given(binned_batches(), st.booleans())
+def test_scalar_cell_lookup_is_the_batch_lookup(batch, bounded):
+    """One-sample lookups keep the (a, b] cells of the batch path, massless cells included."""
+    partition, ys = batch
+    axis = _Axis(partition, LebesgueMeasure(Interval(0.0, 1.0, True, False)) if bounded
+                 else LebesgueMeasure())
+    for y in ys.tolist():
+        want = [int(alphas[0]) for alphas in axis.ancestor_alphas(axis.finest(np.array([y])))]
+        cells = axis.cells(y)
+        assert [a for a, _ in cells] == want
+        assert all(a < 0 or log_eta[a] == axis.log_eta[k][a] for k, (a, log_eta) in enumerate(cells))
 
 
 # Cell ends stay where float64 counts integers exactly, so the counting

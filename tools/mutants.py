@@ -70,6 +70,19 @@ MUTANTS = (
            'at_most = np.searchsorted(np.sort(ys), self.cuts[-1], side="left")',
            ("tests/test_properties.py::test_finest_count_table_equals_the_binned_samples",
             "tests/test_properties.py::test_mixture_batch_equals_sequential")),
+    Mutant("cell-lookup-bisects-right", "estimator.py",
+           "from bisect import bisect_left", "from bisect import bisect_right as bisect_left",
+           ("tests/test_properties.py::test_scalar_cell_lookup_is_the_batch_lookup",
+            "tests/test_properties.py::test_mixture_batch_equals_sequential",
+            "tests/test_properties.py::test_marginal_paths_equal_the_gn_oracle")),
+    Mutant("advance-leaves-the-log-density-stale", "estimator.py",
+           "self._log_g = new = _logsumexp(", "new = _logsumexp(",
+           ("tests/test_properties.py::test_cached_log_density_is_never_stale",
+            "tests/test_estimator.py::TestObserve::test_hand_computed_three_sample_mixture",
+            "tests/test_reports.py::test_report_bytes_are_pinned[codelength]")),
+    Mutant("axis-pickles-its-lookup-views", "estimator.py",
+           'return {**self.__dict__, "_views": None}', "return self.__dict__",
+           ("tests/test_estimator.py::TestObserve::test_a_copy_resumes_the_stream",)),
     Mutant("alphabet-cache-ignores-the-measure", "estimator.py",
            "if cached is not None and cached[0] is measure:", "if cached is not None:",
            ("tests/test_estimator.py::TestConstruction::test_level_alphabet_is_cached_per_measure",)),
@@ -82,6 +95,12 @@ MUTANTS = (
            "return np.maximum(hi - lo, 0.0)", "return hi - lo",
            ("tests/test_measure.py::TestLebesgue::test_clips_to_support",
             "tests/test_properties.py::test_measure_of_equals_masses_half_open")),
+    Mutant("atom-mass-on-empty-cells", "measure.py",
+           "cells = np.flatnonzero(hi_idx > lo_idx)", "cells = np.flatnonzero(hi_idx >= lo_idx)",
+           ("tests/test_properties.py::test_measure_of_equals_masses_half_open",
+            "tests/test_properties.py::test_level_alphabet_keeps_the_cells_of_positive_oracle_mass",
+            "tests/test_measure.py::test_monotonicity",
+            "tests/test_reports.py::test_report_bytes_are_pinned[codelength-weighted-atoms]")),
     Mutant("empty-fold-lgamma-shifted", "kt.py",
            "terms = _lgamma_half(counts) - _LGAMMA_HALF[0]",
            "terms = _lgamma_half(counts) - _LGAMMA_HALF[1]",
