@@ -12,8 +12,10 @@ core serves both estimators: _Axis holds one variable's levels (cut points,
 cell alphabets, reference masses, sample gate) and _LevelMixture the weighted
 grid of KT states, one level per axis.  MixtureEstimator is the one-axis
 grid, joint.JointEstimator the two-axis grid; each keeps its own loops.
-The one-sample path (observe, density_at) makes no numpy call per level: it
-bisects zero-copy memoryviews of the level tables and reads and writes the
+The one-sample path (observe, density_at) makes no numpy call per level: the
+partition finds the sample's raw cell at every level (for a
+HistogramSequence one bisect of the finest cuts and a shift per level), it
+reads zero-copy memoryviews of the level tables, and it reads and writes the
 level log densities as Python floats.  The mixture's log density is cached
 and refreshed once per observation, so observe runs one log-sum-exp.
 
@@ -31,9 +33,9 @@ counting-measure codelengths with unit weights are literal code lengths.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
+from operator import getitem
 
 import numpy as np
 
@@ -79,8 +81,16 @@ def level_alphabet(partition: Partition, measure: ReferenceMeasure, k: int):
     cuts = partition.level_map(k).cuts
     ends = np.concatenate(([-math.inf], cuts, [math.inf]))
     eta = measure.masses_half_open(ends[:-1], ends[1:])
+    # Each table is built in place, with the arrays it no longer needs freed,
+    # so a fine level's pricing peaks at a few copies of its cells.
+    del ends
     keep = eta > 0
-    alphabet = (np.where(keep, np.cumsum(keep) - 1, -1), np.log(eta[keep]))
+    raw_to_alpha = np.cumsum(keep)
+    raw_to_alpha -= 1
+    raw_to_alpha[~keep] = -1
+    log_eta = eta[keep]
+    del eta
+    alphabet = raw_to_alpha, np.log(log_eta, out=log_eta)
     for table in alphabet:
         table.setflags(write=False)
     partition._alphabets[k] = (measure, alphabet)
@@ -96,13 +106,15 @@ def _merge_runs(symbols: np.ndarray, counts: np.ndarray):
 
 
 def _dot(counts: np.ndarray, values: np.ndarray) -> float:
-    """sum(counts * values) without BLAS.
+    """sum(counts * values) of 1-D arrays without BLAS.
 
     A BLAS dot product of more than ~10,000 terms wakes the BLAS worker
     threads, which then spin on the other cores after the call returns and
     make the timing of everything that follows depend on the scheduler.
+    np.add.reduce is the reduction np.sum runs, called without its Python
+    wrapper: the same bits on a 1-D array.
     """
-    return float(np.sum(counts * values))
+    return float(np.add.reduce(counts * values))
 
 
 def _codelength_bits(log_density: float) -> float:
@@ -111,17 +123,19 @@ def _codelength_bits(log_density: float) -> float:
 
 
 def _logsumexp(values: np.ndarray) -> float:
-    hi = float(np.max(values))
+    """log(sum(exp(values))) of a 1-D array, through the ufunc reductions np.max and np.sum run."""
+    hi = float(np.maximum.reduce(values))
     if hi == -math.inf:
         return -math.inf
-    return hi + math.log(float(np.sum(np.exp(values - hi))))
+    return hi + math.log(float(np.add.reduce(np.exp(values - hi))))
 
 
 class _Axis:
     """One variable's levels, built once, and its sample gate.
 
-    cuts, raw_to_alpha, log_eta and sizes hold per level the cut points, the
-    raw-cell-to-alphabet map, the log reference masses and the alphabet size.
+    raw_to_alpha, log_eta and sizes hold per level the raw-cell-to-alphabet
+    map, the log reference masses and the alphabet size; finest_cuts holds
+    the finest level's cut points.
     """
 
     def __init__(self, partition: Partition, measure: ReferenceMeasure):
@@ -130,7 +144,7 @@ class _Axis:
                              "some level drops a cut point of the level before")
         self.partition, self.measure = partition, measure
         levels = range(partition.max_level + 1)
-        self.cuts = [partition.level_map(k).cuts for k in levels]
+        self.finest_cuts = partition.level_map(partition.max_level).cuts
         self.raw_to_alpha, self.log_eta = zip(*(level_alphabet(partition, measure, k) for k in levels))
         self.sizes = [log_eta.size for log_eta in self.log_eta]
         self._views = None
@@ -148,18 +162,21 @@ class _Axis:
     def cells(self, y: float) -> list:
         """(alphabet index, log reference masses) of y's cell at every level; index -1 if massless.
 
-        Bisects memoryviews of the level tables, built on the first call, so
-        that batch fits never build them and a lookup makes no numpy call;
-        bisect_left keeps the (a, b] cells of finest.
+        The partition finds y's raw cell at every level (Partition.cells_of:
+        one bisect on the finest cuts and a shift per level for a
+        HistogramSequence, whose raw finest cell i lies in raw cell
+        i >> (L - k) of level k).  The level tables are read through
+        memoryviews, built on the first call, so that batch fits never build
+        them and a lookup makes no numpy call.
         """
         if self._views is None:
-            self._views = [tuple(map(memoryview, tables))
-                           for tables in zip(self.cuts, self.raw_to_alpha, self.log_eta)]
-        return [(r2a[bisect_left(cuts, y)], log_eta) for cuts, r2a, log_eta in self._views]
+            self._views = tuple(map(memoryview, self.raw_to_alpha)), tuple(map(memoryview, self.log_eta))
+        raw_to_alpha, log_eta = self._views
+        return list(zip(map(getitem, raw_to_alpha, self.partition.cells_of(y)), log_eta))
 
     def finest(self, ys: np.ndarray) -> np.ndarray:
         """Raw finest-level cell of each sample: the joint's per-sample binning."""
-        return np.searchsorted(self.cuts[-1], ys, side="left")
+        return np.searchsorted(self.finest_cuts, ys, side="left")
 
     def finest_counts(self, ys: np.ndarray) -> np.ndarray:
         """Number of samples in each raw finest-level cell, from one sort of a copy of ys.
@@ -168,7 +185,7 @@ class _Axis:
         at most cuts[j] less the number at most cuts[j-1]: the table
         bincount(finest(ys)) gives, without a search per sample.
         """
-        at_most = np.searchsorted(np.sort(ys), self.cuts[-1], side="right")
+        at_most = np.searchsorted(np.sort(ys), self.finest_cuts, side="right")
         return np.diff(at_most, prepend=0, append=ys.size)
 
     def ancestor_alphas(self, cells) -> list:

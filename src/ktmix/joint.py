@@ -85,7 +85,7 @@ class JointEstimator(_LevelMixture):
             i = int(np.flatnonzero(~ok)[0])
             raise OutOfSupportError(
                 f"pair ({float(xs[i])!r}, {float(ys[i])!r}) lies outside the support", index=i)
-        ny = axis_y.cuts[-1].size + 1
+        ny = axis_y.finest_cuts.size + 1
         pairs, counts = np.unique(axis_x.finest(xs) * ny + axis_y.finest(ys), return_counts=True)
         cells_x, cells_y = np.divmod(pairs, ny)
         ax = np.array(axis_x.ancestor_alphas(cells_x))

@@ -131,8 +131,10 @@ class LebesgueMeasure(ReferenceMeasure):
 
     def masses_half_open(self, lows, highs) -> np.ndarray:
         lo = np.maximum(np.asarray(lows, dtype=float), self.support.lower)
-        hi = np.minimum(np.asarray(highs, dtype=float), self.support.upper)
-        return np.maximum(hi - lo, 0.0)
+        mass = np.array(highs, dtype=float)     # clipped, less lo and floored in place
+        np.minimum(mass, self.support.upper, out=mass)
+        mass -= lo
+        return np.maximum(mass, 0.0, out=mass)
 
     def in_support(self, y: float) -> bool:
         return self.support.contains(y)
@@ -230,7 +232,8 @@ class CountingMeasure(ReferenceMeasure):
         # makes no temporaries twice its size.
         cells = np.flatnonzero(hi_idx > lo_idx)
         bounds = np.stack((lo_idx[cells], hi_idx[cells]), axis=-1).ravel()
-        mass = np.zeros(lo_idx.shape)
+        del hi_idx, lo_idx
+        mass = np.zeros(lows.shape)
         mass[cells] = np.add.reduceat(np.append(self.weights, 0.0), bounds)[::2]
         return mass
 

@@ -13,6 +13,14 @@ search of the cut points.  A cell enters an estimator only through its
 reference mass (estimator.level_alphabet), and a cell outside the support
 simply has mass zero, so cells are never clipped to the support.
 
+Because every level keeps the cuts of the level before it in its odd
+slots, the default family is dyadic: with max_level L, level k's cut points
+are every 2^(L-k)-th finest cut, finest[2^(L-k) - 1 :: 2^(L-k)], and raw
+finest cell i lies in raw cell i >> (L-k) of level k.  So a
+HistogramSequence keeps one cut array, the finest, whose strided views are
+its coarser levels, and finds a value's cell at every level with one search
+of the finest cuts and shifts.  Other partitions search every level.
+
 The optional support is a second gate on samples beside the estimator's
 measure.  Nothing in ktmix sets it, as the measure alone says which values are
 legal; it stays while the benchmark's workloads pass one (ROADMAP item 1).
@@ -24,6 +32,7 @@ belongs to the cell on its left.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import NamedTuple
 
 import numpy as np
@@ -77,7 +86,7 @@ class Partition:
                 raise ValueError("cut-point lists must be one-dimensional")
             if arr.size and not np.all(np.isfinite(arr)):
                 raise CutPointError("cut points must be finite")
-            if arr.size > 1 and not np.all(np.diff(arr) > 0):
+            if arr.size > 1 and not np.all(arr[1:] > arr[:-1]):
                 raise CutPointError(f"cut points at level {k} must be strictly increasing")
             arr.setflags(write=False)
             cuts.append(arr)
@@ -88,6 +97,10 @@ class Partition:
         self.max_level = len(cuts) - 1
         self._alphabets: dict = {}  # k -> (measure, alphabet); see estimator.level_alphabet
         self._refines: bool | None = None
+        self._lookup = None         # memoryviews for cells_of, built on its first call
+
+    def __getstate__(self):
+        return {**self.__dict__, "_lookup": None}   # memoryviews do not pickle or copy
 
     def in_support(self, y: float) -> bool:
         return self._support.in_support(y)
@@ -120,10 +133,23 @@ class Partition:
         A finest cell lies in the cell of every coarser level that holds its
         upper cut, and the top tail lies in the top tail, provided the
         partition refines (verify_refinement).  Raw indices are those of a
-        left-sided cut-point search.
+        left-sided cut-point search.  In a HistogramSequence of max_level L
+        they are bit shifts: raw finest cell i lies in raw cell i >> (L - k)
+        of level k.
         """
         uppers = np.append(self._cuts[-1], math.inf)[np.asarray(cells, dtype=np.int64)]
         return [np.searchsorted(cuts, uppers, side="left") for cuts in self._cuts]
+
+    def cells_of(self, y: float) -> list:
+        """Raw cell index of the value y at each level 0..max_level, as Python ints.
+
+        One left-sided bisect per level, on memoryviews of the cuts built on
+        the first call, so that a lookup makes no numpy call; the (a, b]
+        cells of ancestors() and level_alphabet.
+        """
+        if self._lookup is None:
+            self._lookup = [memoryview(cuts) for cuts in self._cuts]
+        return [bisect_left(cuts, y) for cuts in self._lookup]
 
 
 def _is_subset(small: np.ndarray, big: np.ndarray) -> bool:
@@ -132,27 +158,30 @@ def _is_subset(small: np.ndarray, big: np.ndarray) -> bool:
     return bool(idx.size == 0 or (idx[-1] < big.size and np.array_equal(big[idx], small)))
 
 
-def _universal_cuts(center: float, scale: float, max_level: int) -> list:
-    levels = [np.empty(0)]
+def _universal_cuts(center: float, scale: float, max_level: int) -> np.ndarray:
+    """The finest level's cut points, built level by level with only the level before alive."""
+    cuts = np.empty(0)
     if max_level >= 1:
-        levels.append(np.array([center]))
+        cuts = np.array([center])
     for k in range(1, max_level):
-        prev = levels[-1]
-        nxt = np.empty(2 ** (k + 1) - 1)
-        nxt[0] = center - k * scale
-        nxt[-1] = center + k * scale
-        nxt[1:-1:2] = prev
+        prev = cuts                 # frees level k - 1 before level k + 1 is allocated
+        cuts = np.empty(2 ** (k + 1) - 1)
+        cuts[0] = center - k * scale
+        cuts[-1] = center + k * scale
+        cuts[1:-1:2] = prev
+        mids = cuts[2:-2:2]         # 0.5 * (a + b) of neighbouring cuts, written in place
         with np.errstate(over="ignore"):    # Partition rejects an overflowed cut
-            nxt[2:-2:2] = 0.5 * (prev[:-1] + prev[1:])
-        levels.append(nxt)
-    return levels
+            np.multiply(0.5, np.add(prev[:-1], prev[1:], out=mids), out=mids)
+    return cuts
 
 
 class HistogramSequence(Partition):
     """The center/scale-driven refining partition family.
 
     The center and scale are free choices; sensible defaults are the sample
-    mean and standard deviation of the column being modeled.
+    mean and standard deviation of the column being modeled.  Only the
+    finest level owns its cut points; level k's are the read-only view
+    finest[2^(L-k) - 1 :: 2^(L-k)] of them (see the module docstring).
     """
 
     def __init__(self, center: float, scale: float, support=None, max_level: int = DEFAULT_MAX_LEVEL):
@@ -164,10 +193,40 @@ class HistogramSequence(Partition):
             raise ValueError("scale must be strictly positive and finite")
         if max_level < 0:
             raise ValueError("max_level must be nonnegative")
-        super().__init__(_universal_cuts(center, scale, max_level), support)
+        finest = _universal_cuts(center, scale, max_level)
+        finest.setflags(write=False)
+        super().__init__(_dyadic_levels(finest, max_level), support)
         self._refines = True  # each level copies the previous level's cuts
         self.center = center
         self.scale = scale
+
+    def __getstate__(self):
+        state = super().__getstate__()
+        state["_cuts"] = self._cuts[-1]   # a copy keeps the coarser levels as views
+        return state
+
+    def __setstate__(self, state):
+        finest = state["_cuts"]
+        finest.setflags(write=False)
+        self.__dict__.update(state, _cuts=_dyadic_levels(finest, state["max_level"]))
+
+    def ancestors(self, cells) -> list:
+        """Raw cell index at each level k of raw finest-level cells: cells >> (L - k)."""
+        cells = np.asarray(cells, dtype=np.int64)
+        return [cells >> (self.max_level - k) for k in range(self.max_level + 1)]
+
+    def cells_of(self, y: float) -> list:
+        """Raw cell index of y at each level: one bisect on the finest cuts, then shifts."""
+        if self._lookup is None:
+            self._lookup = memoryview(self._cuts[-1]), range(self.max_level, -1, -1)
+        finest, shifts = self._lookup
+        i = bisect_left(finest, y)
+        return [i >> s for s in shifts]
+
+
+def _dyadic_levels(finest: np.ndarray, max_level: int) -> list:
+    """Every level's cut points, as views of the finest: level k takes every 2^(L-k)-th cut."""
+    return [finest[2 ** (max_level - k) - 1::2 ** (max_level - k)] for k in range(max_level + 1)]
 
 
 class CustomPartition(Partition):

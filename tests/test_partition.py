@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +51,77 @@ class TestCutPoints:
             HistogramSequence(0.0, 0.0)
         with pytest.raises(ValueError):
             HistogramSequence(0.0, -1.0)
+
+
+def level_by_level_cuts(center, scale, max_level):
+    """Every level's cut points, each built from the level before as the family is defined.
+
+    Level k + 1 keeps level k's cuts in its odd slots, puts the midpoints of
+    level k's bounded cells between them and center -/+ k*scale at its ends.
+    """
+    levels = [np.empty(0)]
+    if max_level >= 1:
+        levels.append(np.array([center]))
+    for k in range(1, max_level):
+        prev = levels[-1]
+        level = np.empty(2 ** (k + 1) - 1)
+        level[0], level[-1] = center - k * scale, center + k * scale
+        level[1:-1:2] = prev
+        level[2:-2:2] = 0.5 * (prev[:-1] + prev[1:])
+        levels.append(level)
+    return levels
+
+
+class TestDyadicLevels:
+    """Only the finest level owns cut points; coarser levels and ancestors are index arithmetic."""
+
+    @pytest.mark.parametrize("center, scale", [
+        (0.0, 1.0), (0.3, 0.7), (-3.7, 0.01),
+        (1e6, math.ulp(1e6) * 2.0**14),    # finest inner cells one ulp wide at depth 16
+    ])
+    @pytest.mark.parametrize("depth", range(17))
+    def test_levels_are_the_level_by_level_cuts_bit_for_bit(self, depth, center, scale):
+        h = HistogramSequence(center, scale, max_level=depth)
+        want = level_by_level_cuts(center, scale, depth)
+        assert [h.level_map(k).cuts.tobytes() for k in range(depth + 1)] == [
+            level.tobytes() for level in want]
+        # The ancestors of every finest cell: the level-k cell holding its upper end.
+        uppers = np.append(want[-1], INF)
+        for cuts, raws in zip(want, h.ancestors(np.arange(uppers.size))):
+            np.testing.assert_array_equal(raws, np.searchsorted(cuts, uppers, side="left"))
+
+    def test_only_the_finest_level_owns_cut_points(self):
+        depth, finest_bytes = 20, 8 * (2**20 - 1)
+        tracemalloc.start()
+        try:
+            h = HistogramSequence(0, 1, max_level=depth)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept <= 1.05 * finest_bytes
+        # Building level k + 1 keeps level k alive, half the size: 1.5 finest arrays.
+        assert peak <= 1.75 * finest_bytes
+        assert_levels_are_views_of_the_finest(h)
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda h: pickle.loads(pickle.dumps(h))],
+                             ids=["deepcopy", "pickle"])
+    def test_a_copy_keeps_one_cut_array(self, clone):
+        h = HistogramSequence(0.3, 0.7, max_level=6)
+        h.cells_of(0.5)                        # builds the lookup views, which do not copy
+        c = clone(h)
+        assert_levels_are_views_of_the_finest(c)
+        for k in range(7):
+            assert c.level_map(k).cuts.tobytes() == h.level_map(k).cuts.tobytes()
+        assert c.cells_of(0.5) == h.cells_of(0.5)
+
+
+def assert_levels_are_views_of_the_finest(h):
+    finest = h.level_map(h.max_level).cuts
+    assert not finest.flags.writeable
+    for k in range(h.max_level):
+        cuts = h.level_map(k).cuts
+        assert not cuts.flags.owndata and not cuts.flags.writeable
+        assert k == 0 or np.shares_memory(cuts, finest)
 
 
 def alphabet_masses(partition, measure, k):

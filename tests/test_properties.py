@@ -20,10 +20,11 @@ cell by cell, and masses_half_open its price of any half-open cell.
 Also: the whole marginal and joint mixtures satisfy Kraft equality over
 weighted atoms; column-kind inference from one sort follows the stated rules;
 the finest-level count table read off a sorted batch equals the per-sample
-binning; the one-sample cell lookup finds the batch path's cell at every
-level; the cached mixture log density equals a fresh log-sum-exp after every
-observation, rejected ones included; and the vectorized dataset reader agrees
-with the cell-by-cell one, errors included.
+binning; the batch and one-sample cell lookups, and the partition's
+ancestors and cells_of, find at every level the cell a search of that
+level's cut points finds; the cached mixture log density equals a fresh
+log-sum-exp after every observation, rejected ones included; and the
+vectorized dataset reader agrees with the cell-by-cell one, errors included.
 """
 
 import itertools
@@ -259,19 +260,29 @@ def test_histogram_cuts_refine_and_a_dropped_cut_breaks_it(column, drop):
 def binned_batches(draw):
     """(partition, samples) whose samples sit on and next to the finest cut points.
 
-    The samples are cut points and their float neighbours, both zeros, the
-    band edges center + i*scale, points in both tails and arbitrary floats,
-    each repeated up to three times.
+    The partition is a HistogramSequence of depth 0-16, one of depth 2-16 near
+    cut collapse (the finest cells of its two inner bands 1-4 ulps of the
+    center wide), or the dyadic splits of [0, 1) as a CustomPartition.  The
+    samples are cut points and their float neighbours, both zeros, the band
+    edges center + i*scale, points in both tails and arbitrary floats, each
+    repeated up to three times.
     """
-    if draw(st.booleans()):
-        center, scale = draw(st.floats(-50, 50)), draw(st.floats(0.01, 20))
-        depth = draw(st.integers(0, 16))
-        partition = HistogramSequence(center, scale, max_level=depth)
-        edges = [center + i * scale for i in range(-depth - 1, depth + 2)]
-    else:
+    kind = draw(st.sampled_from(["histogram", "near-collapse", "dyadic"]))
+    if kind == "dyadic":
         depth = draw(st.integers(1, 8))
         partition = CustomPartition([np.arange(1, 2**k) / 2**k for k in range(1, depth + 1)])
         edges = [0.0, 1.0]
+    else:
+        if kind == "histogram":
+            center, scale = draw(st.floats(-50, 50)), draw(st.floats(0.01, 20))
+            depth = draw(st.integers(0, 16))
+        else:
+            center = draw(st.floats(1, 1e6)) * draw(st.sampled_from([-1.0, 1.0]))
+            depth = draw(st.integers(2, 16))
+            ulps = draw(st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.0, 4.0]))
+            scale = math.ulp(center) * 2.0 ** (depth - 2) * ulps
+        partition = HistogramSequence(center, scale, max_level=depth)
+        edges = [center + i * scale for i in range(-depth - 1, depth + 2)]
     cuts = partition.level_map(depth).cuts
 
     def near_cut(i, toward):
@@ -292,7 +303,7 @@ def binned_batches(draw):
 def test_finest_count_table_equals_the_binned_samples(batch):
     partition, ys = batch
     axis = _Axis(partition, LebesgueMeasure())
-    cuts = axis.cuts[-1]
+    cuts = axis.finest_cuts
     given_ys = ys.copy()
     table = axis.finest_counts(ys)
     want = np.bincount(np.searchsorted(cuts, ys, side="left"), minlength=cuts.size + 1)
@@ -302,17 +313,58 @@ def test_finest_count_table_equals_the_binned_samples(batch):
     np.testing.assert_array_equal(np.signbit(ys), np.signbit(given_ys))
 
 
+def searched_cells(partition, ys):
+    """Raw cell of each sample at every level by definition: a left-sided search of its cuts."""
+    return [np.searchsorted(partition.level_map(k).cuts, ys, side="left")
+            for k in range(partition.max_level + 1)]
+
+
 @given(binned_batches(), st.booleans())
 def test_scalar_cell_lookup_is_the_batch_lookup(batch, bounded):
-    """One-sample lookups keep the (a, b] cells of the batch path, massless cells included."""
+    """One-sample and batch lookups both find each level's searched cell, massless cells included."""
     partition, ys = batch
     axis = _Axis(partition, LebesgueMeasure(Interval(0.0, 1.0, True, False)) if bounded
                  else LebesgueMeasure())
-    for y in ys.tolist():
-        want = [int(alphas[0]) for alphas in axis.ancestor_alphas(axis.finest(np.array([y])))]
+    want = [r2a[raws] for r2a, raws in zip(axis.raw_to_alpha, searched_cells(partition, ys))]
+    got = axis.ancestor_alphas(axis.finest(ys))
+    assert len(got) == len(want)
+    for batch_alphas, alphas in zip(got, want):
+        np.testing.assert_array_equal(batch_alphas, alphas)
+    for i, y in enumerate(ys.tolist()):
         cells = axis.cells(y)
-        assert [a for a, _ in cells] == want
+        assert [a for a, _ in cells] == [int(alphas[i]) for alphas in want]
         assert all(a < 0 or log_eta[a] == axis.log_eta[k][a] for k, (a, log_eta) in enumerate(cells))
+
+
+def _on_and_off_cuts(partition):
+    """Every finest cut, its float neighbours, both zeros and both far tails."""
+    cuts = partition.level_map(partition.max_level).cuts
+    near = np.concatenate((cuts, np.nextafter(cuts, -math.inf), np.nextafter(cuts, math.inf)))
+    return partition, np.concatenate((near, [0.0, -0.0, -1e300, 1e300]))
+
+
+@given(binned_batches())
+@example(_on_and_off_cuts(HistogramSequence(0.0, 1.0, max_level=0)))
+@example(_on_and_off_cuts(HistogramSequence(0.0, 1.0, max_level=3)))
+@example(_on_and_off_cuts(HistogramSequence(-3.7, 0.01, max_level=8)))
+@example(_on_and_off_cuts(HistogramSequence(1e6, math.ulp(1e6) * 2.0**5, max_level=7)))
+@example(_on_and_off_cuts(CustomPartition([np.arange(1, 2**k) / 2**k for k in range(1, 4)])))
+def test_ancestors_and_cells_of_are_the_searched_cells(batch):
+    """Partition.ancestors of the finest cells and cells_of each sample equal each level's search.
+
+    The HistogramSequence shifts (raw finest cell i lies in raw cell
+    i >> (L - k) of level k) and the searches of any other partition alike;
+    the examples put samples on every finest cut, on its float neighbours, at
+    both zeros and in both tails, so cells 0 and 2^L - 1 at every level.
+    """
+    partition, ys = batch
+    want = searched_cells(partition, ys)
+    got = partition.ancestors(want[-1])
+    assert len(got) == len(want)
+    for raws, searched in zip(got, want):
+        np.testing.assert_array_equal(raws, searched)
+    for i, y in enumerate(ys.tolist()):
+        assert partition.cells_of(y) == [int(searched[i]) for searched in want]
 
 
 # Cell ends stay where float64 counts integers exactly, so the counting

@@ -66,19 +66,27 @@ MUTANTS = (
            ("tests/test_properties.py::test_mixture_batch_equals_sequential",
             "tests/test_properties.py::test_marginal_paths_equal_the_gn_oracle")),
     Mutant("finest-table-searched-left", "estimator.py",
-           'at_most = np.searchsorted(np.sort(ys), self.cuts[-1], side="right")',
-           'at_most = np.searchsorted(np.sort(ys), self.cuts[-1], side="left")',
+           'at_most = np.searchsorted(np.sort(ys), self.finest_cuts, side="right")',
+           'at_most = np.searchsorted(np.sort(ys), self.finest_cuts, side="left")',
            ("tests/test_properties.py::test_finest_count_table_equals_the_binned_samples",
             "tests/test_properties.py::test_mixture_batch_equals_sequential")),
-    Mutant("cell-lookup-bisects-right", "estimator.py",
+    Mutant("cell-lookup-bisects-right", "partition.py",
            "from bisect import bisect_left", "from bisect import bisect_right as bisect_left",
            ("tests/test_properties.py::test_scalar_cell_lookup_is_the_batch_lookup",
+            "tests/test_properties.py::test_ancestors_and_cells_of_are_the_searched_cells",
             "tests/test_properties.py::test_mixture_batch_equals_sequential",
             "tests/test_properties.py::test_marginal_paths_equal_the_gn_oracle")),
     Mutant("advance-leaves-the-log-density-stale", "estimator.py",
            "self._log_g = new = _logsumexp(", "new = _logsumexp(",
            ("tests/test_properties.py::test_cached_log_density_is_never_stale",
             "tests/test_estimator.py::TestObserve::test_hand_computed_three_sample_mixture",
+            "tests/test_reports.py::test_report_bytes_are_pinned[codelength]")),
+    Mutant("logsumexp-sums-with-maximum", "estimator.py",
+           "math.log(float(np.add.reduce(np.exp(values - hi))))",
+           "math.log(float(np.maximum.reduce(np.exp(values - hi))))",
+           ("tests/test_estimator.py::TestObserve::test_hand_computed_three_sample_mixture",
+            "tests/test_properties.py::test_marginal_paths_equal_the_gn_oracle",
+            "tests/test_properties.py::test_mixtures_satisfy_kraft_equality",
             "tests/test_reports.py::test_report_bytes_are_pinned[codelength]")),
     Mutant("axis-pickles-its-lookup-views", "estimator.py",
            'return {**self.__dict__, "_views": None}', "return self.__dict__",
@@ -88,11 +96,31 @@ MUTANTS = (
            ("tests/test_estimator.py::TestConstruction::test_level_alphabet_is_cached_per_measure",)),
     Mutant("ancestors-searched-right", "partition.py",
            'np.searchsorted(cuts, uppers, side="left")', 'np.searchsorted(cuts, uppers, side="right")',
-           ("tests/test_properties.py::test_mixture_batch_equals_sequential",
-            "tests/test_joint.py::TestObserve::test_unbounded_levels_contribute_zero",
-            "tests/test_partition.py::TestCellOf::test_examples")),
+           ("tests/test_properties.py::test_ancestors_and_cells_of_are_the_searched_cells",
+            "tests/test_properties.py::test_scalar_cell_lookup_is_the_batch_lookup",
+            "tests/test_reports.py::test_report_bytes_are_pinned[codelength-dyadic-partition]")),
+    Mutant("ancestors-shifted-one-level-too-far", "partition.py",
+           "cells >> (self.max_level - k) for k", "cells >> (self.max_level - k + 1) for k",
+           ("tests/test_properties.py::test_ancestors_and_cells_of_are_the_searched_cells",
+            "tests/test_properties.py::test_scalar_cell_lookup_is_the_batch_lookup",
+            "tests/test_partition.py::TestDyadicLevels::test_levels_are_the_level_by_level_cuts_bit_for_bit",
+            "tests/test_reports.py::test_report_bytes_are_pinned[codelength]")),
+    Mutant("cell-lookup-shifted-one-level-too-far", "partition.py",
+           "range(self.max_level, -1, -1)", "range(self.max_level + 1, 0, -1)",
+           ("tests/test_properties.py::test_ancestors_and_cells_of_are_the_searched_cells",
+            "tests/test_properties.py::test_scalar_cell_lookup_is_the_batch_lookup",
+            "tests/test_properties.py::test_mixture_batch_equals_sequential",
+            "tests/test_reports.py::test_report_bytes_are_pinned[density-x]")),
+    Mutant("partition-pickles-its-lookup-views", "partition.py",
+           'return {**self.__dict__, "_lookup": None}', "return dict(self.__dict__)",
+           ("tests/test_partition.py::TestDyadicLevels::test_a_copy_keeps_one_cut_array",)),
+    Mutant("level-view-starts-one-cut-late", "partition.py",
+           "finest[2 ** (max_level - k) - 1::", "finest[2 ** (max_level - k)::",
+           ("tests/test_partition.py::TestDyadicLevels::test_levels_are_the_level_by_level_cuts_bit_for_bit",
+            "tests/test_partition.py::TestCutPoints::test_level_three",
+            "tests/test_reports.py::test_report_bytes_are_pinned[codelength]")),
     Mutant("lebesgue-mass-not-clipped-at-zero", "measure.py",
-           "return np.maximum(hi - lo, 0.0)", "return hi - lo",
+           "return np.maximum(mass, 0.0, out=mass)", "return mass",
            ("tests/test_measure.py::TestLebesgue::test_clips_to_support",
             "tests/test_properties.py::test_measure_of_equals_masses_half_open")),
     Mutant("atom-mass-on-empty-cells", "measure.py",
