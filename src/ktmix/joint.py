@@ -16,7 +16,11 @@ evidence.
 g_x and g_y do not depend on the pair, so each column is fitted once
 (FittedColumn) and every pair that contains it costs one joint fit only
 (score_pair): d marginal fits and d(d-1)/2 joint fits for a forest.  The
-same fit gives the column's codelength -log2 g_x (FittedColumn.codelength_bits).
+same fit gives the column's codelength -log2 g_x (FittedColumn.codelength_bits),
+and bins the column's values once on the joint-depth partition, so that a
+pair's fit starts from the two columns' finest cells.  The fit sorts the
+distinct cell pairs once per x level and merges the count tables of all the
+y levels of that row from the sorted pairs (JointEstimator._observe_cells).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import default_scale
-from .estimator import MixtureEstimator, _Axis, _codelength_bits, _dot, _LevelMixture, _merge_runs
+from .estimator import MixtureEstimator, _Axis, _codelength_bits, _LevelMixture
 from .kt import KtState
 from .measure import LebesgueMeasure, OutOfSupportError, ReferenceMeasure
 from .partition import DEFAULT_MAX_LEVEL, HistogramSequence, Partition
@@ -63,57 +67,85 @@ class JointEstimator(_LevelMixture):
 
         A KT probability depends only on the final counts, so batches folded
         in one by one (of one pair each, say) equal their union up to rounding.
-        The pairs are binned once on the grid of the two finest levels, and
-        each finest cell's ancestors are found at every level.  Each x level j
-        then takes one pass over all y levels: sorted by (level-j x cell,
-        finest y cell), the valid symbols a * m_k + b of every y level k come
-        out non-decreasing, so with each level's symbols shifted into a key
-        range of its own, one run merge gives the count tables of all the
-        states in row j.  Each state is scored from its table in closed form;
-        a level pair with a sample in a cell of zero mass is dead, though its
-        state still counts the rest.
+        The pairs are binned on the grid of the two finest levels and folded in
+        by _observe_cells.
         """
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         if xs.shape != ys.shape or xs.ndim != 1:
             raise ValueError("paired batches must be equal-length one-dimensional arrays")
-        if xs.size == 0:
-            return 0.0
         axis_x, axis_y = self._axes
         ok = axis_x.mask(xs) & axis_y.mask(ys)
         if not ok.all():
             i = int(np.flatnonzero(~ok)[0])
             raise OutOfSupportError(
                 f"pair ({float(xs[i])!r}, {float(ys[i])!r}) lies outside the support", index=i)
-        ny = axis_y.finest_cuts.size + 1
-        pairs, counts = np.unique(axis_x.finest(xs) * ny + axis_y.finest(ys), return_counts=True)
-        cells_x, cells_y = np.divmod(pairs, ny)
-        ax = np.array(axis_x.ancestor_alphas(cells_x))
-        ay = np.array(axis_y.ancestor_alphas(cells_y))
-        sizes_y = np.array(axis_y.sizes, dtype=np.int64)[:, None]
-        for j, a_all in enumerate(ax):
+        return self._observe_cells(axis_x.finest(xs), axis_y.finest(ys))
+
+    def _observe_cells(self, cells_x: np.ndarray, cells_y: np.ndarray) -> float:
+        """observe_many on pairs given by their raw finest cells, in the support.
+
+        The distinct pairs are counted once, ordered by (finest y cell, finest
+        x cell), and each finest cell's raw ancestor is found at every level.
+        Each x level j then sorts the pairs once, stably by their level-j x
+        cell, which orders them by (level-j x cell, finest y cell); the keys
+        are cast to the smallest unsigned type that holds them, which numpy
+        sorts by radix up to 16 bits.  Pairs sharing their level-j x cell and
+        level-k y cell are adjacent in that order, so the count table of state
+        (j, k) merges the runs of the table at level k + 1, from the finest y
+        level down, each run read at one of its pairs.
+        The valid runs' symbols a * m_k + b come out increasing, and each state
+        is scored from its table in closed form.  The reference masses of all
+        the states in row j are summed at once, over the sorted pairs, one
+        C-ordered row per y level; a level pair with a sample in a cell of
+        zero mass is dead, though its state still counts the rest.
+        """
+        if cells_x.size == 0:
+            return 0.0
+        axis_x, axis_y = self._axes
+        nx = axis_x.finest_cuts.size + 1
+        pairs, counts = np.unique(cells_y * nx + cells_x, return_counts=True)
+        fine_y, fine_x = np.divmod(pairs, nx)
+        raw_y = self.partition_y.ancestors(fine_y)
+        alpha_y = [r2a[raw] for r2a, raw in zip(axis_y.raw_to_alpha, raw_y)]
+        live_y = [bool((b >= 0).all()) for b in alpha_y]
+        eta_y = np.zeros((len(raw_y), pairs.size))   # read by live states only
+        for k in np.flatnonzero(live_y):
+            eta_y[k] = axis_y.log_eta[k][alpha_y[k]]
+        key_type = np.min_scalar_type(nx - 1)
+        cells_per_level_y = [self.partition_y.level_map(k).kept_count for k in range(len(raw_y))]
+        for j, raw_x in enumerate(self.partition_x.ancestors(fine_x)):
             if not axis_x.sizes[j]:
                 continue   # no alphabet, so no state in this row
-            order = np.argsort((a_all + 1) * ny + cells_y, kind="stable")
-            a, c, b = a_all[order], counts[order], ay[:, order]
-            valid = (a >= 0) & (b >= 0)
-            live = valid.all(axis=1)
-            # Level k's symbols a * m_k + b take the key range bounds[k]..bounds[k + 1].
-            bounds = np.concatenate(([0], np.cumsum(axis_x.sizes[j] * sizes_y)))
-            keys, key_counts = _merge_runs((a * sizes_y + b + bounds[:-1, None])[valid],
-                                           np.broadcast_to(c, b.shape)[valid])
-            lo_hi = np.searchsorted(keys, bounds)
-            eta_x = axis_x.log_eta[j][a]   # read by live states only, where every a >= 0
-            for k, state in enumerate(self._states[j]):
+            order = np.argsort(raw_x.astype(key_type), kind="stable")
+            reps, run_x, run_counts = order, raw_x[order], counts[order]
+            r2a_x = axis_x.raw_to_alpha[j]
+            alpha_x = r2a_x[run_x]
+            live_x = bool((alpha_x >= 0).all())
+            if live_x:
+                # np.take keeps the rows C-ordered, so each row sums in the order of a 1-D
+                # sum; eta_y[:, order] is F-ordered and would round differently.
+                terms = np.take(eta_y, order, axis=1)
+                terms += axis_x.log_eta[j][alpha_x]
+                terms *= run_counts
+                eta_sums = np.add.reduce(terms, axis=1)
+            for k in range(len(raw_y) - 1, -1, -1):
+                key = run_x * cells_per_level_y[k] + raw_y[k][reps]   # (level-j x, level-k y) cell
+                starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+                reps, run_x = reps[starts], run_x[starts]
+                run_counts = np.add.reduceat(run_counts, starts)
+                state = self._states[j, k]
                 if state is None:
                     continue
-                lo, hi = lo_hi[k], lo_hi[k + 1]
-                inc = state._fold(keys[lo:hi] - bounds[k], key_counts[lo:hi])
-                if live[k]:
-                    self._ld[j, k] += inc - _dot(c, eta_x + axis_y.log_eta[k][b[k]])
+                a, b = r2a_x[run_x], alpha_y[k][reps]
+                symbols = a * axis_y.sizes[k] + b
+                if live_x and live_y[k]:
+                    self._ld[j, k] += state._fold(symbols, run_counts) - eta_sums[k]
                 else:
+                    valid = (a >= 0) & (b >= 0)
+                    state._fold(symbols[valid], run_counts[valid])
                     self._ld[j, k] = -math.inf
-        return self._advance(xs.size)
+        return self._advance(cells_x.size)
 
     def grid_state(self, j: int, k: int) -> KtState | None:
         """KT state of one grid point; None when that grid point has no alphabet."""
@@ -141,15 +173,18 @@ class FittedColumn:
     """One column fitted once, holding only what its reports and pair analyses read.
 
     log_density is the marginal mixture's log g over values.  partition is the
-    column's histogram sequence cut again at the joint depth (None when fitted
-    without joint_levels), whose cell alphabets the first pair prices and the
-    rest reuse.  The marginal estimator and its deep partition are dropped after
-    the fit, so a forest over d columns keeps d shallow partitions, not d deep ones.
+    column's histogram sequence cut again at the joint depth, and cells holds
+    each value's raw cell at that partition's finest level (both None when
+    fitted without joint_levels): every pair reads the cells binned once here,
+    and the first pair prices the partition's cell alphabets for the rest.  The
+    marginal estimator and its deep partition are dropped after the fit, so a
+    forest over d columns keeps d shallow partitions, not d deep ones.
     """
 
     values: np.ndarray
     measure: ReferenceMeasure
     partition: HistogramSequence | None
+    cells: np.ndarray | None
     log_density: float
 
     @classmethod
@@ -163,9 +198,11 @@ class FittedColumn:
         values = np.asarray(values, dtype=float)
         marginal = MixtureEstimator(partition, measure)
         marginal.observe_many(values)
-        shallow = None if joint_levels is None else HistogramSequence(
-            partition.center, partition.scale, max_level=joint_levels)
-        return cls(values, measure, shallow, marginal.log_density())
+        shallow = cells = None
+        if joint_levels is not None:
+            shallow = HistogramSequence(partition.center, partition.scale, max_level=joint_levels)
+            cells = np.searchsorted(shallow.level_map(joint_levels).cuts, values, side="left")
+        return cls(values, measure, shallow, cells, marginal.log_density())
 
     def codelength_bits(self) -> float:
         """-log2 g^n of the column, as MixtureEstimator.codelength_bits."""
@@ -186,8 +223,10 @@ def score_pair(fx: FittedColumn, fy: FittedColumn, prior_p: float = 0.5) -> Pair
     for label, value in (("x", log_gx), ("y", log_gy)):
         if value == -math.inf:
             raise ValueError(f"the {label} estimator collapsed to zero density on this data")
+    if fx.cells.size != fy.cells.size:
+        raise ValueError("paired columns must be equal-length")
     joint = JointEstimator(fx.partition, fy.partition, fx.measure, fy.measure)
-    joint.observe_many(fx.values, fy.values)
+    joint._observe_cells(fx.cells, fy.cells)   # the marginal fits gated the values
     log_gxy = joint.log_density()
     if log_gxy == -math.inf:
         raise ValueError("the joint estimator collapsed to zero density on this data: its bounded "

@@ -224,8 +224,9 @@ class CountingMeasure(ReferenceMeasure):
                 count = np.where(np.isinf(b) | np.isinf(a), INF, b - a + 1.0)
                 return np.where(a > b, 0.0, count)
         atoms = np.asarray(self.atoms, dtype=float)
-        hi_idx = np.searchsorted(atoms, highs, side="right")
-        lo_idx = np.searchsorted(atoms, lows, side="right")
+        # Flat index arrays, so that scalar ends take the path of one-cell arrays.
+        hi_idx = np.searchsorted(atoms, highs, side="right").ravel()
+        lo_idx = np.searchsorted(atoms, lows, side="right").ravel()
         # Sum each cell's own weights: a difference of cumulative sums would
         # cancel away most digits of a light atom's mass next to heavy ones.
         # Only the cells that hold an atom are summed, so pricing a fine level
@@ -233,9 +234,9 @@ class CountingMeasure(ReferenceMeasure):
         cells = np.flatnonzero(hi_idx > lo_idx)
         bounds = np.stack((lo_idx[cells], hi_idx[cells]), axis=-1).ravel()
         del hi_idx, lo_idx
-        mass = np.zeros(lows.shape)
+        mass = np.zeros(lows.size)
         mass[cells] = np.add.reduceat(np.append(self.weights, 0.0), bounds)[::2]
-        return mass
+        return mass.reshape(lows.shape)
 
     def in_support(self, y: float) -> bool:
         if self.rule is not None:

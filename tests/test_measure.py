@@ -275,3 +275,13 @@ def test_in_support_many_matches_scalar(measure):
     mask = measure.in_support_many(values)
     assert not mask[-3:].any()
     assert list(mask) == [measure.in_support(float(v)) for v in values]
+
+
+@pytest.mark.parametrize("measure", [*ALL_MEASURES, CountingMeasure.unit_naturals(),
+                                     CountingMeasure.from_atoms([0.0])],
+                         ids=lambda m: type(m).__name__)
+def test_scalar_ends_price_as_one_cell_arrays(measure):
+    for lo, hi in [(-1.0, 1.0), (-INF, 0.0), (0.0, INF), (-INF, INF), (2.0, 2.0), (0.25, 3.0)]:
+        mass = measure.masses_half_open(lo, hi)
+        assert np.shape(mass) == ()
+        assert float(mass) == measure.masses_half_open([lo], [hi])[0]

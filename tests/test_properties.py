@@ -22,9 +22,12 @@ weighted atoms; column-kind inference from one sort follows the stated rules;
 the finest-level count table read off a sorted batch equals the per-sample
 binning; the batch and one-sample cell lookups, and the partition's
 ancestors and cells_of, find at every level the cell a search of that
-level's cut points finds; the cached mixture log density equals a fresh
-log-sum-exp after every observation, rejected ones included; and the
-vectorized dataset reader agrees with the cell-by-cell one, errors included.
+level's cut points finds; every joint grid state's count table is the
+pairs binned one by one, and score_pair, which reads the cells a fitted
+column binned once, gives the bits of observe_many on the values; the
+cached mixture log density equals a fresh log-sum-exp after every
+observation, rejected ones included; and the vectorized dataset reader
+agrees with the cell-by-cell one, errors included.
 """
 
 import itertools
@@ -39,7 +42,7 @@ from hypothesis import strategies as st
 
 from ktmix.data import _kind_and_atoms, _parse_cells, parse_dataset
 from ktmix.estimator import MixtureEstimator, _Axis, _logsumexp, level_alphabet
-from ktmix.joint import JointEstimator
+from ktmix.joint import FittedColumn, JointEstimator, score_pair
 from ktmix.kt import KtState, kt_log_prob_closed_form
 from ktmix.measure import (CountingMeasure, Interval, LebesgueMeasure, OutOfSupportError, scaled,
                            sum_measure)
@@ -365,6 +368,90 @@ def test_ancestors_and_cells_of_are_the_searched_cells(batch):
         np.testing.assert_array_equal(raws, searched)
     for i, y in enumerate(ys.tolist()):
         assert partition.cells_of(y) == [int(searched[i]) for searched in want]
+
+
+def joint_axes():
+    """(partition, measure, samples) of one joint axis.
+
+    Either a columns() draw, whose bounded kind puts samples at 0 in a cell
+    of zero mass, or a binned_batches() draw under Lebesgue measure: samples
+    on and next to the finest cuts of a histogram sequence, one near cut
+    collapse, or the dyadic CustomPartition of [0, 1).
+    """
+    return st.one_of(columns(max_level=6, max_size=40),
+                     binned_batches().map(lambda batch: (batch[0], LebesgueMeasure(), batch[1])))
+
+
+def searched_symbols(partition, measure, values):
+    """Alphabet index of each sample at every level by definition, -1 where its cell is massless."""
+    return [level_alphabet(partition, measure, k)[0][raws]
+            for k, raws in enumerate(searched_cells(partition, values))]
+
+
+UNIT_INTERVAL = LebesgueMeasure(Interval(0.0, 1.0, True, False))
+
+
+def unit_interval_axis(values):
+    """An axis on Lebesgue measure over [0, 1) whose level 2 cuts at 0: a sample at 0 is massless."""
+    return (HistogramSequence(0.5, 0.5, support=UNIT_INTERVAL, max_level=3), UNIT_INTERVAL,
+            np.array(values))
+
+
+@given(x=joint_axes(), y=joint_axes())
+@example((HistogramSequence(0.0, 1.0, max_level=2), LebesgueMeasure(), np.repeat([-0.3, 0.3], 20)),
+         (HistogramSequence(0.0, 1.0, max_level=5), LebesgueMeasure(), np.linspace(-3.9, 3.9, 40)))
+@example(unit_interval_axis([0.0, 0.3, 0.7, 0.2]), unit_interval_axis([0.6, 0.0, 0.9, 0.1]))
+def test_joint_count_tables_are_the_binned_pairs(x, y):
+    """Every grid state's counts are the pairs of valid cells binned one by one, dead states too.
+
+    The first example's 24 distinct pairs all lie in the one level-0 x cell:
+    more ties than numpy sorts stably without being asked (above 16
+    elements).  In the second, x and y each have one sample at 0, so from
+    level 2 on each axis has a dead cell beside live ones.
+    """
+    (px, mx, xs), (py, my, ys) = x, y
+    n = min(xs.size, ys.size)
+    xs, ys = xs[:n], ys[:n]
+    joint = JointEstimator(px, py, mx, my)
+    joint.observe_many(xs, ys)
+    sizes_y = [level_alphabet(py, my, k)[1].size for k in range(py.max_level + 1)]
+    for j, a in enumerate(searched_symbols(px, mx, xs)):
+        for k, b in enumerate(searched_symbols(py, my, ys)):
+            state = joint.grid_state(j, k)
+            valid = (a >= 0) & (b >= 0)
+            if state is None:
+                assert not valid.any()
+                continue
+            symbols, counts = np.unique(a[valid] * sizes_y[k] + b[valid], return_counts=True)
+            assert state.counts == dict(zip(symbols.tolist(), counts.tolist()))
+
+
+def fitted_axes():
+    """joint_axes() draws on a HistogramSequence, the partition FittedColumn.fit takes."""
+    return joint_axes().filter(lambda axis: isinstance(axis[0], HistogramSequence))
+
+
+@given(x=fitted_axes(), y=fitted_axes(), shallower=st.integers(0, 2))
+@example((HistogramSequence(0.0, 1.0, max_level=3), LebesgueMeasure(), np.array([0.0, 0.5, -0.5, 1.0])),
+         (HistogramSequence(0.0, 1.0, max_level=3), LebesgueMeasure(), np.array([-0.5, 1.0, 0.5, 0.5])),
+         0)
+def test_score_pair_equals_the_joint_fit_of_the_values(x, y, shallower):
+    """score_pair, which reads the cells FittedColumn.fit binned, gives observe_many's log g_xy bits.
+
+    The example's samples all sit on level-3 cuts inside the bounded cells.
+    """
+    (px, mx, xs), (py, my, ys) = x, y
+    n = min(xs.size, ys.size)
+    xs, ys = xs[:n], ys[:n]
+    levels = max(0, min(px.max_level, py.max_level) - shallower)
+    fx, fy = FittedColumn.fit(xs, px, mx, levels), FittedColumn.fit(ys, py, my, levels)
+    joint = JointEstimator(fx.partition, fy.partition, mx, my)
+    joint.observe_many(xs, ys)
+    if -math.inf in (fx.log_density, fy.log_density, joint.log_density()):
+        with pytest.raises(ValueError, match="collapsed"):
+            score_pair(fx, fy)
+    else:
+        assert score_pair(fx, fy).log_gxy == joint.log_density()
 
 
 # Cell ends stay where float64 counts integers exactly, so the counting

@@ -129,6 +129,10 @@ MUTANTS = (
             "tests/test_properties.py::test_level_alphabet_keeps_the_cells_of_positive_oracle_mass",
             "tests/test_measure.py::test_monotonicity",
             "tests/test_reports.py::test_report_bytes_are_pinned[codelength-weighted-atoms]")),
+    Mutant("atom-mass-of-scalar-ends-unflattened", "measure.py",
+           'hi_idx = np.searchsorted(atoms, highs, side="right").ravel()',
+           'hi_idx = np.searchsorted(atoms, highs, side="right")',
+           ("tests/test_measure.py::test_scalar_ends_price_as_one_cell_arrays",)),
     Mutant("empty-fold-lgamma-shifted", "kt.py",
            "terms = _lgamma_half(counts) - _LGAMMA_HALF[0]",
            "terms = _lgamma_half(counts) - _LGAMMA_HALF[1]",
@@ -147,25 +151,45 @@ MUTANTS = (
             "tests/test_properties.py::test_joint_batch_equals_sequential",
             "tests/test_kt.py::TestBatchCounts::test_batch_into_a_state_with_counts")),
     Mutant("joint-sort-not-stable", "joint.py",
-           'order = np.argsort((a_all + 1) * ny + cells_y, kind="stable")',
-           "order = np.argsort((a_all + 1) * ny + cells_y)",
-           ("tests/test_reports.py::test_report_bytes_are_pinned[forest]",
+           'order = np.argsort(raw_x.astype(key_type), kind="stable")',
+           "order = np.argsort(raw_x.astype(key_type))",
+           ("tests/test_properties.py::test_joint_count_tables_are_the_binned_pairs",
+            "tests/test_reports.py::test_report_bytes_are_pinned[forest]",
             "tests/test_reports.py::test_tall_forest_report_bytes_are_pinned")),
     Mutant("joint-level-alive-on-any-valid-pair", "joint.py",
-           "live = valid.all(axis=1)", "live = valid.any(axis=1)",
+           "live_y = [bool((b >= 0).all()) for b in alpha_y]",
+           "live_y = [bool((b >= 0).any()) for b in alpha_y]",
            ("tests/test_properties.py::test_joint_batch_equals_the_gn_oracle",
-            "tests/test_properties.py::test_joint_with_a_one_cell_axis_is_the_marginal")),
+            "tests/test_properties.py::test_joint_count_tables_are_the_binned_pairs")),
+    Mutant("joint-row-alive-on-any-valid-x-cell", "joint.py",
+           "live_x = bool((alpha_x >= 0).all())", "live_x = bool((alpha_x >= 0).any())",
+           ("tests/test_properties.py::test_joint_batch_equals_the_gn_oracle",
+            "tests/test_properties.py::test_joint_with_a_one_cell_axis_is_the_marginal",
+            "tests/test_properties.py::test_joint_count_tables_are_the_binned_pairs")),
     Mutant("joint-drops-the-y-masses", "joint.py",
-           "_dot(c, eta_x + axis_y.log_eta[k][b[k]])", "_dot(c, eta_x)",
+           "eta_y[k] = axis_y.log_eta[k][alpha_y[k]]", "eta_y[k] = 0.0",
            ("tests/test_joint.py::TestObserve::test_first_pair_has_density_one_on_uniform_setup",
             "tests/test_properties.py::test_joint_batch_equals_the_gn_oracle",
             "tests/test_properties.py::test_mixtures_satisfy_kraft_equality")),
+    Mutant("joint-eta-rows-column-major", "joint.py",
+           "terms = np.take(eta_y, order, axis=1)", "terms = eta_y[:, order]",
+           ("tests/test_reports.py::test_report_bytes_are_pinned[forest]",
+            "tests/test_reports.py::test_tall_forest_report_bytes_are_pinned")),
+    Mutant("joint-runs-merge-across-x-cells", "joint.py",
+           "key = run_x * cells_per_level_y[k] + raw_y[k][reps]", "key = raw_y[k][reps]",
+           ("tests/test_properties.py::test_joint_count_tables_are_the_binned_pairs",
+            "tests/test_properties.py::test_joint_batch_equals_the_gn_oracle",
+            "tests/test_reports.py::test_report_bytes_are_pinned[forest]")),
     Mutant("joint-batch-overwrites-its-level", "joint.py",
-           "self._ld[j, k] += inc - ", "self._ld[j, k] = inc - ",
+           "self._ld[j, k] += ", "self._ld[j, k] = ",
            ("tests/test_joint.py::TestObserve::test_batch_with_every_pair_in_a_zero_mass_x_cell",
             "tests/test_joint.py::TestObserve::test_batch_equals_sequential",
             "tests/test_properties.py::test_joint_batch_equals_sequential",
             "tests/test_properties.py::test_joint_with_a_one_cell_axis_is_the_marginal")),
+    Mutant("fitted-cells-searched-right", "joint.py",
+           'cells = np.searchsorted(shallow.level_map(joint_levels).cuts, values, side="left")',
+           'cells = np.searchsorted(shallow.level_map(joint_levels).cuts, values, side="right")',
+           ("tests/test_properties.py::test_score_pair_equals_the_joint_fit_of_the_values",)),
     Mutant("pair-priced-with-the-x-measure-twice", "joint.py",
            "fx.partition, fy.partition, fx.measure, fy.measure",
            "fx.partition, fy.partition, fx.measure, fx.measure",
