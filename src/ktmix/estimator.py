@@ -97,12 +97,9 @@ def level_alphabet(partition: Partition, measure: ReferenceMeasure, k: int):
     return alphabet
 
 
-def _merge_runs(symbols: np.ndarray, counts: np.ndarray):
-    """(distinct symbols, summed counts) of a non-decreasing symbol array."""
-    if symbols.size == 0:
-        return symbols, counts
-    starts = np.flatnonzero(np.concatenate(([True], symbols[1:] != symbols[:-1])))
-    return symbols[starts], np.add.reduceat(counts, starts)
+def _run_starts(key: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values in a non-empty 1-D array."""
+    return np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
 
 
 def _dot(counts: np.ndarray, values: np.ndarray) -> float:
@@ -134,8 +131,7 @@ class _Axis:
     """One variable's levels, built once, and its sample gate.
 
     raw_to_alpha, log_eta and sizes hold per level the raw-cell-to-alphabet
-    map, the log reference masses and the alphabet size; finest_cuts holds
-    the finest level's cut points.
+    map, the log reference masses and the alphabet size.
     """
 
     def __init__(self, partition: Partition, measure: ReferenceMeasure):
@@ -144,7 +140,6 @@ class _Axis:
                              "some level drops a cut point of the level before")
         self.partition, self.measure = partition, measure
         levels = range(partition.max_level + 1)
-        self.finest_cuts = partition.level_map(partition.max_level).cuts
         self.raw_to_alpha, self.log_eta = zip(*(level_alphabet(partition, measure, k) for k in levels))
         self.sizes = [log_eta.size for log_eta in self.log_eta]
         self._views = None
@@ -173,24 +168,6 @@ class _Axis:
             self._views = tuple(map(memoryview, self.raw_to_alpha)), tuple(map(memoryview, self.log_eta))
         raw_to_alpha, log_eta = self._views
         return list(zip(map(getitem, raw_to_alpha, self.partition.cells_of(y)), log_eta))
-
-    def finest(self, ys: np.ndarray) -> np.ndarray:
-        """Raw finest-level cell of each sample: the joint's per-sample binning."""
-        return np.searchsorted(self.finest_cuts, ys, side="left")
-
-    def finest_counts(self, ys: np.ndarray) -> np.ndarray:
-        """Number of samples in each raw finest-level cell, from one sort of a copy of ys.
-
-        Cell j is (cuts[j-1], cuts[j]], so its count is the number of samples
-        at most cuts[j] less the number at most cuts[j-1]: the table
-        bincount(finest(ys)) gives, without a search per sample.
-        """
-        at_most = np.searchsorted(np.sort(ys), self.finest_cuts, side="right")
-        return np.diff(at_most, prepend=0, append=ys.size)
-
-    def ancestor_alphas(self, cells) -> list:
-        """Alphabet index at every level of raw finest-level cells (Partition.ancestors)."""
-        return [r2a[raws] for r2a, raws in zip(self.raw_to_alpha, self.partition.ancestors(cells))]
 
 
 class _LevelMixture:
@@ -268,9 +245,13 @@ class MixtureEstimator(_LevelMixture):
         """Fold a batch in; returns the total log-density increment.
 
         Equivalent to sequential observe() calls up to float rounding.  The
-        finest level's count table is read off the sorted batch; every
-        coarser level's counts are sums of those, because the partition
-        refines, and each level is scored from its count table in closed form.
+        finest level's count table is read off the sorted batch
+        (Partition.finest_counts).  Every coarser level's counts are sums of
+        those, because the partition refines: the occupied finest cells'
+        ancestors at level k come out non-decreasing, and each run of equal
+        ones is one level-k cell.  Each level is scored from its count table
+        in closed form; a level with a sample in a cell of zero mass is dead,
+        though its state still counts the rest.
         """
         ys = np.asarray(ys, dtype=float)
         if ys.ndim != 1:
@@ -282,17 +263,22 @@ class MixtureEstimator(_LevelMixture):
         if not ok.all():
             i = int(np.flatnonzero(~ok)[0])
             raise OutOfSupportError(f"value {float(ys[i])!r} lies outside the support", index=i)
-        table = axis.finest_counts(ys)
+        table = axis.partition.finest_counts(ys)
         cells = np.flatnonzero(table)
         counts = table[cells]
-        for k, alphas in enumerate(axis.ancestor_alphas(cells)):
-            valid = alphas >= 0
-            symbols, level_counts = _merge_runs(alphas[valid], counts[valid])
+        for k, raw in enumerate(axis.partition.ancestors(cells)):
             state = self._states[k]
-            inc = state.observe_counts(symbols, level_counts) if state is not None else 0.0
-            if valid.all() and state is not None:
+            if state is None:
+                continue   # no alphabet, so the level is dead from the start
+            starts = _run_starts(raw)
+            symbols = axis.raw_to_alpha[k][raw[starts]]
+            level_counts = np.add.reduceat(counts, starts)
+            valid = symbols >= 0
+            if valid.all():
+                inc = state._fold(symbols, level_counts)
                 self._ld[k] += inc - _dot(level_counts, axis.log_eta[k][symbols])
             else:
+                state._fold(symbols[valid], level_counts[valid])
                 self._ld[k] = -math.inf
         return self._advance(ys.size)
 

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import default_scale
-from .estimator import MixtureEstimator, _Axis, _codelength_bits, _LevelMixture
+from .estimator import MixtureEstimator, _Axis, _codelength_bits, _LevelMixture, _run_starts
 from .kt import KtState
 from .measure import LebesgueMeasure, OutOfSupportError, ReferenceMeasure
 from .partition import DEFAULT_MAX_LEVEL, HistogramSequence, Partition
@@ -67,8 +67,8 @@ class JointEstimator(_LevelMixture):
 
         A KT probability depends only on the final counts, so batches folded
         in one by one (of one pair each, say) equal their union up to rounding.
-        The pairs are binned on the grid of the two finest levels and folded in
-        by _observe_cells.
+        The pairs are binned on the grid of the two finest levels
+        (Partition.finest_cells) and folded in by _observe_cells.
         """
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
@@ -80,7 +80,8 @@ class JointEstimator(_LevelMixture):
             i = int(np.flatnonzero(~ok)[0])
             raise OutOfSupportError(
                 f"pair ({float(xs[i])!r}, {float(ys[i])!r}) lies outside the support", index=i)
-        return self._observe_cells(axis_x.finest(xs), axis_y.finest(ys))
+        return self._observe_cells(self.partition_x.finest_cells(xs),
+                                   self.partition_y.finest_cells(ys))
 
     def _observe_cells(self, cells_x: np.ndarray, cells_y: np.ndarray) -> float:
         """observe_many on pairs given by their raw finest cells, in the support.
@@ -103,7 +104,7 @@ class JointEstimator(_LevelMixture):
         if cells_x.size == 0:
             return 0.0
         axis_x, axis_y = self._axes
-        nx = axis_x.finest_cuts.size + 1
+        nx = self.partition_x.level_map(self.partition_x.max_level).kept_count
         pairs, counts = np.unique(cells_y * nx + cells_x, return_counts=True)
         fine_y, fine_x = np.divmod(pairs, nx)
         raw_y = self.partition_y.ancestors(fine_y)
@@ -130,8 +131,7 @@ class JointEstimator(_LevelMixture):
                 terms *= run_counts
                 eta_sums = np.add.reduce(terms, axis=1)
             for k in range(len(raw_y) - 1, -1, -1):
-                key = run_x * cells_per_level_y[k] + raw_y[k][reps]   # (level-j x, level-k y) cell
-                starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+                starts = _run_starts(run_x * cells_per_level_y[k] + raw_y[k][reps])   # (x_j, y_k) cells
                 reps, run_x = reps[starts], run_x[starts]
                 run_counts = np.add.reduceat(run_counts, starts)
                 state = self._states[j, k]
@@ -195,13 +195,16 @@ class FittedColumn:
         With joint_levels, partition must be a HistogramSequence: its center
         and scale cut the joint-depth partition of the column's pairs.
         """
+        if joint_levels is not None and not isinstance(partition, HistogramSequence):
+            raise ValueError("joint_levels needs a HistogramSequence partition, whose center and "
+                             "scale cut the joint-depth partition")
         values = np.asarray(values, dtype=float)
         marginal = MixtureEstimator(partition, measure)
         marginal.observe_many(values)
         shallow = cells = None
         if joint_levels is not None:
             shallow = HistogramSequence(partition.center, partition.scale, max_level=joint_levels)
-            cells = np.searchsorted(shallow.level_map(joint_levels).cuts, values, side="left")
+            cells = shallow.finest_cells(values)
         return cls(values, measure, shallow, cells, marginal.log_density())
 
     def codelength_bits(self) -> float:
@@ -225,6 +228,8 @@ def score_pair(fx: FittedColumn, fy: FittedColumn, prior_p: float = 0.5) -> Pair
             raise ValueError(f"the {label} estimator collapsed to zero density on this data")
     if fx.cells.size != fy.cells.size:
         raise ValueError("paired columns must be equal-length")
+    if not fx.cells.size:
+        raise ValueError("at least one sample pair is required")
     joint = JointEstimator(fx.partition, fy.partition, fx.measure, fy.measure)
     joint._observe_cells(fx.cells, fy.cells)   # the marginal fits gated the values
     log_gxy = joint.log_density()

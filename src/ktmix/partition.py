@@ -19,11 +19,17 @@ are every 2^(L-k)-th finest cut, finest[2^(L-k) - 1 :: 2^(L-k)], and raw
 finest cell i lies in raw cell i >> (L-k) of level k.  So a
 HistogramSequence keeps one cut array, the finest, whose strided views are
 its coarser levels, and finds a value's cell at every level with one search
-of the finest cuts and shifts.  Other partitions search every level.
+of the finest cuts and shifts.  Other partitions search every level.  A copy
+of a HistogramSequence rebuilds it from its center, scale, support and depth,
+which gives the same cuts, again as views of one array.
+
+Batch fits bin their samples here, once, at the finest level: finest_cells
+finds each sample's raw finest cell and finest_counts the count of every raw
+finest cell; ancestors then gives the cells of every coarser level.
 
 The optional support is a second gate on samples beside the estimator's
 measure.  Nothing in ktmix sets it, as the measure alone says which values are
-legal; it stays while the benchmark's workloads pass one (ROADMAP item 1).
+legal; it stays while the benchmark's workloads pass one (ROADMAP item 2).
 
 Cell convention: half-open (a, b] everywhere, so a point on a cut boundary
 belongs to the cell on its left.
@@ -68,7 +74,7 @@ class Partition:
     Interval (standing for Lebesgue measure on it) or a reference measure,
     whose support the samples must lie in; the default admits every finite
     value.  Nothing in ktmix sets it (see the module docstring), and its
-    deletion waits for ROADMAP item 1.  Instances are immutable once built,
+    deletion waits for ROADMAP item 2.  Instances are immutable once built,
     apart from the cache that estimator.level_alphabet keeps on them.
     """
 
@@ -97,10 +103,6 @@ class Partition:
         self.max_level = len(cuts) - 1
         self._alphabets: dict = {}  # k -> (measure, alphabet); see estimator.level_alphabet
         self._refines: bool | None = None
-        self._lookup = None         # memoryviews for cells_of, built on its first call
-
-    def __getstate__(self):
-        return {**self.__dict__, "_lookup": None}   # memoryviews do not pickle or copy
 
     def in_support(self, y: float) -> bool:
         return self._support.in_support(y)
@@ -127,6 +129,20 @@ class Partition:
             )
         return self._refines
 
+    def finest_cells(self, values) -> np.ndarray:
+        """Raw finest-level cell of each value: a left-sided search of the finest cuts."""
+        return np.searchsorted(self._cuts[-1], values, side="left")
+
+    def finest_counts(self, values) -> np.ndarray:
+        """Number of values in each raw finest-level cell, from one sort of a copy of values.
+
+        Cell j is (cuts[j-1], cuts[j]], so its count is the number of values
+        at most cuts[j] less the number at most cuts[j-1]: the table
+        bincount(finest_cells(values)) gives, without a search per value.
+        """
+        at_most = np.searchsorted(np.sort(values), self._cuts[-1], side="right")
+        return np.diff(at_most, prepend=0, append=values.size)
+
     def ancestors(self, cells) -> list:
         """Raw cell index at each level 0..max_level of raw finest-level cells.
 
@@ -143,13 +159,11 @@ class Partition:
     def cells_of(self, y: float) -> list:
         """Raw cell index of the value y at each level 0..max_level, as Python ints.
 
-        One left-sided bisect per level, on memoryviews of the cuts built on
-        the first call, so that a lookup makes no numpy call; the (a, b]
-        cells of ancestors() and level_alphabet.
+        One left-sided bisect per level, on memoryviews of the cuts, so that
+        the search compares Python floats; the (a, b] cells of ancestors()
+        and level_alphabet.
         """
-        if self._lookup is None:
-            self._lookup = [memoryview(cuts) for cuts in self._cuts]
-        return [bisect_left(cuts, y) for cuts in self._lookup]
+        return [bisect_left(memoryview(cuts), y) for cuts in self._cuts]
 
 
 def _is_subset(small: np.ndarray, big: np.ndarray) -> bool:
@@ -199,16 +213,12 @@ class HistogramSequence(Partition):
         self._refines = True  # each level copies the previous level's cuts
         self.center = center
         self.scale = scale
+        self._finest_view = memoryview(finest)         # cells_of's bisect compares Python floats
+        self._shifts = range(max_level, -1, -1)
 
-    def __getstate__(self):
-        state = super().__getstate__()
-        state["_cuts"] = self._cuts[-1]   # a copy keeps the coarser levels as views
-        return state
-
-    def __setstate__(self, state):
-        finest = state["_cuts"]
-        finest.setflags(write=False)
-        self.__dict__.update(state, _cuts=_dyadic_levels(finest, state["max_level"]))
+    def __reduce__(self):
+        """A copy or pickle rebuilds the sequence: the same cuts, again views of one array."""
+        return HistogramSequence, (self.center, self.scale, self._support, self.max_level)
 
     def ancestors(self, cells) -> list:
         """Raw cell index at each level k of raw finest-level cells: cells >> (L - k)."""
@@ -217,11 +227,8 @@ class HistogramSequence(Partition):
 
     def cells_of(self, y: float) -> list:
         """Raw cell index of y at each level: one bisect on the finest cuts, then shifts."""
-        if self._lookup is None:
-            self._lookup = memoryview(self._cuts[-1]), range(self.max_level, -1, -1)
-        finest, shifts = self._lookup
-        i = bisect_left(finest, y)
-        return [i >> s for s in shifts]
+        i = bisect_left(self._finest_view, y)
+        return [i >> s for s in self._shifts]
 
 
 def _dyadic_levels(finest: np.ndarray, max_level: int) -> list:

@@ -167,6 +167,48 @@ class TestObserve:
         assert inc == pytest.approx(total, abs=1e-9)
         assert batch.n == seq.n == 500
 
+    def test_batch_with_a_sample_in_a_zero_mass_cell(self):
+        # Lebesgue measure on [0, 1) gives the cell (-inf, 0] of levels 3 and
+        # up no mass, so the sample at 0 kills those levels; their states
+        # still count the other samples, and the levels below stay alive.
+        part = HistogramSequence(0.5, 0.25, max_level=5)
+        ys = [0.0, 0.3, 0.3, 0.31, 0.7, 0.99]
+        seq, batch = (MixtureEstimator(part, LebesgueMeasure(UNIT)) for _ in range(2))
+        total = sum(seq.observe(y) for y in ys)
+        inc = batch.observe_many(ys)
+        for s, b in zip(seq.export_state()["levels"], batch.export_state()["levels"]):
+            assert b["counts"] == s["counts"]
+        gs, gb = seq.level_log_densities(), batch.level_log_densities()
+        assert np.isneginf(gs[3:]).all() and np.isneginf(gb[3:]).all()
+        assert np.allclose(gb[:3], gs[:3], rtol=0, atol=1e-9)
+        assert inc == pytest.approx(total, abs=1e-9)
+
+
+# Lebesgue measure on the single point 0.5: the value 0.5 passes the measure's
+# gate, but every cell of every level has mass zero.
+POINT = Interval(0.5, 0.5, True, True)
+
+
+class TestZeroMassMeasure:
+    def test_every_level_alphabet_is_empty(self):
+        est = MixtureEstimator(HistogramSequence(0.0, 1.0, max_level=3), LebesgueMeasure(POINT))
+        assert [level["alphabet_size"] for level in est.export_state()["levels"]] == [0, 0, 0, 0]
+        assert est.log_density() == -math.inf
+
+    def test_observe_gives_density_zero(self):
+        est = MixtureEstimator(HistogramSequence(0.0, 1.0, max_level=3), LebesgueMeasure(POINT))
+        assert est.density_at(0.5) == 0.0
+        assert est.observe(0.5) == -math.inf
+        assert est.density_at(0.5) == 0.0
+        assert est.n == 1
+
+    def test_batch_gives_density_zero(self):
+        est = MixtureEstimator(HistogramSequence(0.0, 1.0, max_level=3), LebesgueMeasure(POINT))
+        assert est.observe_many([0.5, 0.5]) == -math.inf
+        assert np.isneginf(est.level_log_densities()).all()
+        assert est.n == 2
+        assert all(level["counts"] == {} for level in est.export_state()["levels"])
+
 
 class TestDensityAt:
     def test_fresh_uniform_setup_gives_one(self):

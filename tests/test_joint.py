@@ -130,6 +130,24 @@ class TestObserve:
         assert np.isfinite(gs).any()
         assert inc == pytest.approx(total, abs=1e-10)
 
+    def test_batch_on_a_zero_mass_axis_gives_density_zero(self):
+        # Lebesgue measure on the single point 0.5 admits 0.5 but gives every
+        # cell mass zero: on x it leaves no grid row a state, on y no column.
+        point = LebesgueMeasure(Interval(0.5, 0.5, True, True))
+        px, py = HistogramSequence(0.0, 1.0, max_level=3), HistogramSequence(0.0, 1.0, max_level=2)
+        for mx, my in ((point, point), (LebesgueMeasure(), point), (point, LebesgueMeasure())):
+            joint = JointEstimator(px, py, mx, my)
+            assert joint.observe_many([0.5, 0.5], [0.5, 0.5]) == -math.inf
+            assert np.isneginf(joint.level_log_densities()).all()
+            assert joint.n == 2
+
+    def test_empty_batch_adds_nothing(self):
+        joint = unit_joint(3)
+        before = joint.log_density()
+        assert joint.observe_many([], []) == 0.0
+        assert joint.n == 0
+        assert joint.log_density() == before
+
     def test_batch_equals_sequential(self):
         rng = np.random.default_rng(6)
         xs, ys = rng.random(120), rng.random(120)
@@ -289,6 +307,18 @@ class TestFittedColumn:
             score_pair(fx, fit_column([0.1, 0.2]))
         with pytest.raises(ValueError, match="prior_p"):
             score_pair(fx, fx, 0.0)
+
+    def test_empty_columns_are_not_paired(self):
+        empty = FittedColumn.fit(np.array([]), HistogramSequence(0, 1, max_level=4), LebesgueMeasure(),
+                                 joint_levels=3)
+        with pytest.raises(ValueError, match="at least one sample pair is required"):
+            score_pair(empty, empty)
+
+    def test_joint_levels_need_a_histogram_sequence(self):
+        custom = CustomPartition([[0.5], [0.25, 0.5, 0.75]])
+        with pytest.raises(ValueError, match="HistogramSequence"):
+            FittedColumn.fit([0.2, 0.6], custom, LebesgueMeasure(UNIT), joint_levels=2)
+        assert FittedColumn.fit([0.2, 0.6], custom, LebesgueMeasure(UNIT)).partition is None
 
     def test_collapsed_marginal_is_named(self):
         dead = fit_column([0.5, 1.5], levels=1)   # level cells of infinite mass only

@@ -106,13 +106,14 @@ class TestDyadicLevels:
     @pytest.mark.parametrize("clone", [copy.deepcopy, lambda h: pickle.loads(pickle.dumps(h))],
                              ids=["deepcopy", "pickle"])
     def test_a_copy_keeps_one_cut_array(self, clone):
-        h = HistogramSequence(0.3, 0.7, max_level=6)
-        h.cells_of(0.5)                        # builds the lookup views, which do not copy
-        c = clone(h)
+        h = HistogramSequence(0.3, 0.7, support=Interval(-1.0, 1.0), max_level=6)
+        c = clone(h)                           # h's lookup holds a memoryview, which does not copy
         assert_levels_are_views_of_the_finest(c)
+        assert c.max_level == h.max_level
         for k in range(7):
             assert c.level_map(k).cuts.tobytes() == h.level_map(k).cuts.tobytes()
         assert c.cells_of(0.5) == h.cells_of(0.5)
+        assert c.in_support(0.5) and not c.in_support(1.5)
 
 
 def assert_levels_are_views_of_the_finest(h):

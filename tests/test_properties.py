@@ -91,6 +91,26 @@ def columns(draw, max_level=10, max_size=60):
     return partition, measure, np.asarray(values, dtype=float)
 
 
+UNIT_INTERVAL = LebesgueMeasure(Interval(0.0, 1.0, True, False))
+
+
+def unit_interval_axis(values, max_level=3):
+    """An axis on Lebesgue measure over [0, 1) whose level 2 cuts at 0: a sample at 0 is massless.
+
+    Its levels cut at multiples of 2^(1-k) inside [0, 1], so 0.25, 0.5 and
+    0.75 lie on cuts from level 3 on; the examples below put samples there.
+    """
+    return (HistogramSequence(0.5, 0.5, support=UNIT_INTERVAL, max_level=max_level), UNIT_INTERVAL,
+            np.array(values, dtype=float))
+
+
+# Examples of a column: one with a sample at 0, so levels 2 and up hold a
+# massless cell beside live ones, and one whose six levels all stay alive.
+# Both put samples on cuts and several finest cells in each coarse cell.
+DEAD_DEEP_COLUMN = unit_interval_axis([0.0, 0.25, 0.3, 0.3, 0.5, 0.7, 0.75, 0.99])
+LIVE_COLUMN = unit_interval_axis([0.25, 0.3, 0.3, 0.5, 0.7, 0.75, 0.99], max_level=5)
+
+
 def assert_same_levels(a, b, atol):
     np.testing.assert_allclose(a, b, rtol=0, atol=atol)
 
@@ -100,6 +120,7 @@ def assert_same_levels(a, b, atol):
     symbols=st.lists(st.integers(0, 10**6), max_size=300),
     cuts=st.lists(st.integers(0, 300), max_size=6),
 )
+@example(m=3, symbols=[0, 1, 1, 2, 2, 2], cuts=[])
 def test_kt_batch_equals_sequential(m, symbols, cuts):
     symbols = [s % m for s in symbols]
     seq, mixed = KtState(m), KtState(m)
@@ -118,6 +139,8 @@ def test_kt_batch_equals_sequential(m, symbols, cuts):
 
 
 @given(column=columns(), cuts=st.lists(st.integers(0, 60), max_size=4))
+@example(column=DEAD_DEEP_COLUMN, cuts=[])
+@example(column=LIVE_COLUMN, cuts=[])
 def test_mixture_batch_equals_sequential(column, cuts):
     partition, measure, ys = column
     seq = MixtureEstimator(partition, measure)
@@ -139,6 +162,7 @@ def test_mixture_batch_equals_sequential(column, cuts):
 
 
 @given(column=columns(), cuts=st.lists(st.integers(0, 60), max_size=4))
+@example(column=DEAD_DEEP_COLUMN, cuts=[4])
 def test_cached_log_density_is_never_stale(column, cuts):
     partition, measure, ys = column
     est = MixtureEstimator(partition, measure)
@@ -169,6 +193,8 @@ def test_cached_log_density_is_never_stale(column, cuts):
     y=columns(max_level=5, max_size=40),
     cuts=st.lists(st.integers(0, 40), max_size=4),
 )
+@example(x=unit_interval_axis([0.0, 0.3, 0.7, 0.2, 0.3]), y=unit_interval_axis([0.6, 0.0, 0.9, 0.1, 0.6]),
+         cuts=[])
 def test_joint_batch_equals_sequential(x, y, cuts):
     (px, mx, xs), (py, my, ys) = x, y
     n = min(xs.size, ys.size)
@@ -194,6 +220,8 @@ def test_joint_batch_equals_sequential(x, y, cuts):
 
 
 @given(column=columns())
+@example(column=DEAD_DEEP_COLUMN)
+@example(column=LIVE_COLUMN)
 def test_marginal_paths_equal_the_gn_oracle(column):
     partition, measure, ys = column
     want = level_log_densities(partition, measure, ys.tolist())
@@ -208,6 +236,9 @@ def test_marginal_paths_equal_the_gn_oracle(column):
 
 
 @given(x=columns(max_level=5, max_size=40), y=columns(max_level=5, max_size=40))
+@example(x=unit_interval_axis([0.0, 0.25, 0.3, 0.7, 0.2, 0.3]),
+         y=unit_interval_axis([0.6, 0.0, 0.9, 0.1, 0.6, 0.5], max_level=4))
+@example(x=LIVE_COLUMN, y=unit_interval_axis([0.6, 0.75, 0.9, 0.1, 0.6, 0.5, 0.2]))
 def test_joint_batch_equals_the_gn_oracle(x, y):
     (px, mx, xs), (py, my, ys) = x, y
     n = min(xs.size, ys.size)
@@ -221,6 +252,7 @@ def test_joint_batch_equals_the_gn_oracle(x, y):
 
 
 @given(column=columns())
+@example(column=DEAD_DEEP_COLUMN)
 def test_joint_with_a_one_cell_axis_is_the_marginal(column):
     # y = 0 on the one cell of a unit atom: the grid state (j, 0) codes the
     # level-j cells of x against mass 1, under the weight w_j * 1/2.  One
@@ -305,10 +337,9 @@ def binned_batches(draw):
 @example((HistogramSequence(0.0, 1.0, max_level=3), np.array([0.0])))
 def test_finest_count_table_equals_the_binned_samples(batch):
     partition, ys = batch
-    axis = _Axis(partition, LebesgueMeasure())
-    cuts = axis.finest_cuts
+    cuts = partition.level_map(partition.max_level).cuts
     given_ys = ys.copy()
-    table = axis.finest_counts(ys)
+    table = partition.finest_counts(ys)
     want = np.bincount(np.searchsorted(cuts, ys, side="left"), minlength=cuts.size + 1)
     assert table.dtype == want.dtype
     np.testing.assert_array_equal(table, want)
@@ -322,14 +353,25 @@ def searched_cells(partition, ys):
             for k in range(partition.max_level + 1)]
 
 
+def _on_and_off_cuts(partition):
+    """Every finest cut, its float neighbours, both zeros and both far tails."""
+    cuts = partition.level_map(partition.max_level).cuts
+    near = np.concatenate((cuts, np.nextafter(cuts, -math.inf), np.nextafter(cuts, math.inf)))
+    return partition, np.concatenate((near, [0.0, -0.0, -1e300, 1e300]))
+
+
 @given(binned_batches(), st.booleans())
+@example(_on_and_off_cuts(HistogramSequence(0.0, 1.0, max_level=3)), False)
+@example(_on_and_off_cuts(HistogramSequence(0.5, 0.5, max_level=4)), True)
+@example(_on_and_off_cuts(CustomPartition([np.arange(1, 2**k) / 2**k for k in range(1, 4)])), True)
 def test_scalar_cell_lookup_is_the_batch_lookup(batch, bounded):
     """One-sample and batch lookups both find each level's searched cell, massless cells included."""
     partition, ys = batch
     axis = _Axis(partition, LebesgueMeasure(Interval(0.0, 1.0, True, False)) if bounded
                  else LebesgueMeasure())
     want = [r2a[raws] for r2a, raws in zip(axis.raw_to_alpha, searched_cells(partition, ys))]
-    got = axis.ancestor_alphas(axis.finest(ys))
+    got = [r2a[raws] for r2a, raws in zip(axis.raw_to_alpha,
+                                          partition.ancestors(partition.finest_cells(ys)))]
     assert len(got) == len(want)
     for batch_alphas, alphas in zip(got, want):
         np.testing.assert_array_equal(batch_alphas, alphas)
@@ -337,13 +379,6 @@ def test_scalar_cell_lookup_is_the_batch_lookup(batch, bounded):
         cells = axis.cells(y)
         assert [a for a, _ in cells] == [int(alphas[i]) for alphas in want]
         assert all(a < 0 or log_eta[a] == axis.log_eta[k][a] for k, (a, log_eta) in enumerate(cells))
-
-
-def _on_and_off_cuts(partition):
-    """Every finest cut, its float neighbours, both zeros and both far tails."""
-    cuts = partition.level_map(partition.max_level).cuts
-    near = np.concatenate((cuts, np.nextafter(cuts, -math.inf), np.nextafter(cuts, math.inf)))
-    return partition, np.concatenate((near, [0.0, -0.0, -1e300, 1e300]))
 
 
 @given(binned_batches())
@@ -386,15 +421,6 @@ def searched_symbols(partition, measure, values):
     """Alphabet index of each sample at every level by definition, -1 where its cell is massless."""
     return [level_alphabet(partition, measure, k)[0][raws]
             for k, raws in enumerate(searched_cells(partition, values))]
-
-
-UNIT_INTERVAL = LebesgueMeasure(Interval(0.0, 1.0, True, False))
-
-
-def unit_interval_axis(values):
-    """An axis on Lebesgue measure over [0, 1) whose level 2 cuts at 0: a sample at 0 is massless."""
-    return (HistogramSequence(0.5, 0.5, support=UNIT_INTERVAL, max_level=3), UNIT_INTERVAL,
-            np.array(values))
 
 
 @given(x=joint_axes(), y=joint_axes())
@@ -501,6 +527,9 @@ def total_atom_weight(measure) -> float:
        ends=st.lists(st.one_of(ENDS, st.floats(-20, 20), st.integers(-20, 20).map(float)),
                      min_size=2, max_size=2, unique=True),
        open_ends=st.sampled_from(["none", "lower", "upper"]))
+@example(measure=UNIT_INTERVAL, ends=[2.0, 3.0], open_ends="none")             # beyond the support
+@example(measure=CountingMeasure.from_atoms([0.5, 3.0], [2.0, 1.0]), ends=[1.0, 2.0],
+         open_ends="none")                                                     # between the atoms
 def test_measure_of_equals_masses_half_open(measure, ends, open_ends):
     lo, hi = sorted(ends)
     lo = -math.inf if open_ends == "lower" else lo
@@ -517,6 +546,8 @@ def test_measure_of_equals_masses_half_open(measure, ends, open_ends):
 
 @given(measure=measures(), histogram=st.booleans(), center=st.floats(-20, 20),
        scale=st.floats(0.01, 20), depth=st.integers(0, 8))
+@example(measure=UNIT_INTERVAL, histogram=True, center=0.5, scale=0.5, depth=3)
+@example(measure=CountingMeasure.from_atoms([0.3, 0.6]), histogram=False, center=0.0, scale=1.0, depth=3)
 def test_level_alphabet_keeps_the_cells_of_positive_oracle_mass(measure, histogram, center,
                                                                 scale, depth):
     if histogram:

@@ -62,12 +62,29 @@ MUTANTS = (
             "tests/test_properties.py::test_joint_with_a_one_cell_axis_is_the_marginal",
             "tests/test_joint.py::TestObserve::test_batch_with_every_pair_in_a_zero_mass_x_cell")),
     Mutant("dead-marginal-level-kept-alive", "estimator.py",
-           "if valid.all() and state is not None:", "if state is not None:",
+           "if valid.all():", "if valid.any():",
            ("tests/test_properties.py::test_mixture_batch_equals_sequential",
-            "tests/test_properties.py::test_marginal_paths_equal_the_gn_oracle")),
-    Mutant("finest-table-searched-left", "estimator.py",
-           'at_most = np.searchsorted(np.sort(ys), self.finest_cuts, side="right")',
-           'at_most = np.searchsorted(np.sort(ys), self.finest_cuts, side="left")',
+            "tests/test_properties.py::test_marginal_paths_equal_the_gn_oracle",
+            "tests/test_estimator.py::TestObserve::test_batch_with_a_sample_in_a_zero_mass_cell")),
+    Mutant("marginal-symbols-read-before-the-merge", "estimator.py",
+           "symbols = axis.raw_to_alpha[k][raw[starts]]\n"
+           "            level_counts = np.add.reduceat(counts, starts)",
+           "symbols = axis.raw_to_alpha[k][raw]\n"
+           "            level_counts = counts",
+           ("tests/test_properties.py::test_mixture_batch_equals_sequential",
+            "tests/test_properties.py::test_marginal_paths_equal_the_gn_oracle",
+            "tests/test_estimator.py::TestObserve::test_batch_equals_sequential",
+            "tests/test_estimator.py::TestObserve::test_batch_with_a_sample_in_a_zero_mass_cell")),
+    Mutant("runs-start-at-run-ends", "estimator.py",
+           "np.concatenate(([True], key[1:] != key[:-1]))",
+           "np.concatenate((key[1:] != key[:-1], [True]))",
+           ("tests/test_properties.py::test_mixture_batch_equals_sequential",
+            "tests/test_properties.py::test_joint_count_tables_are_the_binned_pairs",
+            "tests/test_reports.py::test_report_bytes_are_pinned[codelength]",
+            "tests/test_reports.py::test_report_bytes_are_pinned[forest]")),
+    Mutant("finest-table-searched-left", "partition.py",
+           'at_most = np.searchsorted(np.sort(values), self._cuts[-1], side="right")',
+           'at_most = np.searchsorted(np.sort(values), self._cuts[-1], side="left")',
            ("tests/test_properties.py::test_finest_count_table_equals_the_binned_samples",
             "tests/test_properties.py::test_mixture_batch_equals_sequential")),
     Mutant("cell-lookup-bisects-right", "partition.py",
@@ -106,13 +123,14 @@ MUTANTS = (
             "tests/test_partition.py::TestDyadicLevels::test_levels_are_the_level_by_level_cuts_bit_for_bit",
             "tests/test_reports.py::test_report_bytes_are_pinned[codelength]")),
     Mutant("cell-lookup-shifted-one-level-too-far", "partition.py",
-           "range(self.max_level, -1, -1)", "range(self.max_level + 1, 0, -1)",
+           "range(max_level, -1, -1)", "range(max_level + 1, 0, -1)",
            ("tests/test_properties.py::test_ancestors_and_cells_of_are_the_searched_cells",
             "tests/test_properties.py::test_scalar_cell_lookup_is_the_batch_lookup",
             "tests/test_properties.py::test_mixture_batch_equals_sequential",
             "tests/test_reports.py::test_report_bytes_are_pinned[density-x]")),
-    Mutant("partition-pickles-its-lookup-views", "partition.py",
-           'return {**self.__dict__, "_lookup": None}', "return dict(self.__dict__)",
+    Mutant("copy-rebuilds-one-level-deeper", "partition.py",
+           "(self.center, self.scale, self._support, self.max_level)",
+           "(self.center, self.scale, self._support, self.max_level + 1)",
            ("tests/test_partition.py::TestDyadicLevels::test_a_copy_keeps_one_cut_array",)),
     Mutant("level-view-starts-one-cut-late", "partition.py",
            "finest[2 ** (max_level - k) - 1::", "finest[2 ** (max_level - k)::",
@@ -176,7 +194,7 @@ MUTANTS = (
            ("tests/test_reports.py::test_report_bytes_are_pinned[forest]",
             "tests/test_reports.py::test_tall_forest_report_bytes_are_pinned")),
     Mutant("joint-runs-merge-across-x-cells", "joint.py",
-           "key = run_x * cells_per_level_y[k] + raw_y[k][reps]", "key = raw_y[k][reps]",
+           "_run_starts(run_x * cells_per_level_y[k] + raw_y[k][reps])", "_run_starts(raw_y[k][reps])",
            ("tests/test_properties.py::test_joint_count_tables_are_the_binned_pairs",
             "tests/test_properties.py::test_joint_batch_equals_the_gn_oracle",
             "tests/test_reports.py::test_report_bytes_are_pinned[forest]")),
@@ -186,10 +204,11 @@ MUTANTS = (
             "tests/test_joint.py::TestObserve::test_batch_equals_sequential",
             "tests/test_properties.py::test_joint_batch_equals_sequential",
             "tests/test_properties.py::test_joint_with_a_one_cell_axis_is_the_marginal")),
-    Mutant("fitted-cells-searched-right", "joint.py",
-           'cells = np.searchsorted(shallow.level_map(joint_levels).cuts, values, side="left")',
-           'cells = np.searchsorted(shallow.level_map(joint_levels).cuts, values, side="right")',
-           ("tests/test_properties.py::test_score_pair_equals_the_joint_fit_of_the_values",)),
+    Mutant("fitted-cells-searched-right", "partition.py",
+           'return np.searchsorted(self._cuts[-1], values, side="left")',
+           'return np.searchsorted(self._cuts[-1], values, side="right")',
+           ("tests/test_properties.py::test_scalar_cell_lookup_is_the_batch_lookup",
+            "tests/test_properties.py::test_joint_batch_equals_the_gn_oracle")),
     Mutant("pair-priced-with-the-x-measure-twice", "joint.py",
            "fx.partition, fy.partition, fx.measure, fy.measure",
            "fx.partition, fy.partition, fx.measure, fx.measure",
