@@ -26,7 +26,7 @@ from .partition import (
     Partition,
 )
 from .kt import KtState, kt_log_prob_closed_form
-from .estimator import LevelWeights, MixtureEstimator
+from .estimator import Axis, LevelWeights, MixtureEstimator
 from .joint import (
     DEFAULT_JOINT_LEVEL,
     FittedColumn,
@@ -63,6 +63,7 @@ __all__ = [
     "DEFAULT_MAX_LEVEL",
     "KtState",
     "kt_log_prob_closed_form",
+    "Axis",
     "LevelWeights",
     "MixtureEstimator",
     "JointEstimator",

@@ -9,8 +9,8 @@ codelength, indep and forest fit each column they need once, as a
 FittedColumn over the column's partition (_fit_columns): its histogram
 sequence, or the custom refining partition that --partition gives codelength
 and density (not indep and forest).  codelength reads the bits off it; indep
-and forest also keep its joint-depth partition, whose cells the first pair
-prices, and score every pair from two of those (score_pair).  density fits a
+and forest also keep its joint-depth partition, priced once as an Axis, and
+score every pair from two of those (score_pair).  density fits a
 MixtureEstimator, whose KT states its grid reads.  A column's schema measure
 both prices the cells and gates the samples: a value outside its support is
 reported with its row and column.

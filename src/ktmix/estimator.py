@@ -8,7 +8,7 @@ over levels
     g^n(y^n) = sum_k w_k * Q_k(cells) / prod_i eta(cell_i).
 
 A pair of variables mixes over level pairs (j, k) of product cells, so one
-core serves both estimators: _Axis holds one variable's levels (cut points,
+core serves both estimators: Axis holds one variable's levels (cut points,
 cell alphabets, reference masses, sample gate) and _LevelMixture the weighted
 grid of KT states, one level per axis.  MixtureEstimator is the one-axis
 grid, joint.JointEstimator the two-axis grid; each keeps its own loops.
@@ -43,7 +43,7 @@ from .kt import KtState
 from .measure import OutOfSupportError, ReferenceMeasure
 from .partition import Partition
 
-__all__ = ["LevelWeights", "MixtureEstimator", "level_alphabet"]
+__all__ = ["Axis", "LevelWeights", "MixtureEstimator", "level_alphabet"]
 
 LOG2 = math.log(2.0)
 
@@ -70,14 +70,9 @@ def level_alphabet(partition: Partition, measure: ReferenceMeasure, k: int):
     Returns (raw_to_alpha, log_eta) where raw_to_alpha sends the raw cell
     index from a cut-point search to the alphabet index (-1 if the cell has
     no mass) and log_eta holds the log reference mass per alphabet cell
-    (+inf allowed).  Every raw cell is priced with one masses_half_open call.
-    The result is read-only and cached on the partition for the last measure
-    it was asked with, so the partitions a fitted column keeps price their
-    cells once for all the pairs it is in.
+    (+inf allowed), both read-only.  Every raw cell is priced with one
+    masses_half_open call, on every call: estimators share priced Axis objects.
     """
-    cached = partition._alphabets.get(k)
-    if cached is not None and cached[0] is measure:
-        return cached[1]
     cuts = partition.level_map(k).cuts
     ends = np.concatenate(([-math.inf], cuts, [math.inf]))
     eta = measure.masses_half_open(ends[:-1], ends[1:])
@@ -93,7 +88,6 @@ def level_alphabet(partition: Partition, measure: ReferenceMeasure, k: int):
     alphabet = raw_to_alpha, np.log(log_eta, out=log_eta)
     for table in alphabet:
         table.setflags(write=False)
-    partition._alphabets[k] = (measure, alphabet)
     return alphabet
 
 
@@ -127,11 +121,12 @@ def _logsumexp(values: np.ndarray) -> float:
     return hi + math.log(float(np.add.reduce(np.exp(values - hi))))
 
 
-class _Axis:
-    """One variable's levels, built once, and its sample gate.
+class Axis:
+    """One variable's partition priced against its reference measure, and its sample gate.
 
     raw_to_alpha, log_eta and sizes hold per level the raw-cell-to-alphabet
-    map, the log reference masses and the alphabet size.
+    map, the log reference masses and the alphabet size, priced once.  An axis
+    is immutable, so estimators may share one; a copy rebuilds it.
     """
 
     def __init__(self, partition: Partition, measure: ReferenceMeasure):
@@ -142,10 +137,10 @@ class _Axis:
         levels = range(partition.max_level + 1)
         self.raw_to_alpha, self.log_eta = zip(*(level_alphabet(partition, measure, k) for k in levels))
         self.sizes = [log_eta.size for log_eta in self.log_eta]
-        self._views = None
+        self._views = tuple(map(memoryview, self.raw_to_alpha)), tuple(map(memoryview, self.log_eta))
 
-    def __getstate__(self):
-        return {**self.__dict__, "_views": None}   # memoryviews do not pickle or copy
+    def __reduce__(self):
+        return Axis, (self.partition, self.measure)
 
     def check(self, y: float):
         if not (self.partition.in_support(y) and self.measure.in_support(y)):
@@ -161,11 +156,8 @@ class _Axis:
         one bisect on the finest cuts and a shift per level for a
         HistogramSequence, whose raw finest cell i lies in raw cell
         i >> (L - k) of level k).  The level tables are read through
-        memoryviews, built on the first call, so that batch fits never build
-        them and a lookup makes no numpy call.
+        memoryviews built with the axis, so a lookup makes no numpy call.
         """
-        if self._views is None:
-            self._views = tuple(map(memoryview, self.raw_to_alpha)), tuple(map(memoryview, self.log_eta))
         raw_to_alpha, log_eta = self._views
         return list(zip(map(getitem, raw_to_alpha, self.partition.cells_of(y)), log_eta))
 
@@ -223,7 +215,7 @@ class MixtureEstimator(_LevelMixture):
     """
 
     def __init__(self, partition: Partition, measure: ReferenceMeasure):
-        super().__init__((_Axis(partition, measure),))
+        super().__init__((Axis(partition, measure),))
 
     # -- observation --------------------------------------------------------
 

@@ -17,8 +17,8 @@ g_x and g_y do not depend on the pair, so each column is fitted once
 (FittedColumn) and every pair that contains it costs one joint fit only
 (score_pair): d marginal fits and d(d-1)/2 joint fits for a forest.  The
 same fit gives the column's codelength -log2 g_x (FittedColumn.codelength_bits),
-and bins the column's values once on the joint-depth partition, so that a
-pair's fit starts from the two columns' finest cells.  The fit sorts the
+prices its joint-depth partition once (an Axis) and bins its values on it, so
+a pair's fit starts from two priced axes and finest cells.  The fit sorts the
 distinct cell pairs once per x level and merges the count tables of all the
 y levels of that row from the sorted pairs (JointEstimator._observe_cells).
 """
@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import default_scale
-from .estimator import MixtureEstimator, _Axis, _codelength_bits, _LevelMixture, _run_starts
+from .estimator import Axis, MixtureEstimator, _codelength_bits, _LevelMixture, _run_starts
 from .kt import KtState
 from .measure import LebesgueMeasure, OutOfSupportError, ReferenceMeasure
 from .partition import DEFAULT_MAX_LEVEL, HistogramSequence, Partition
@@ -55,12 +55,13 @@ class JointEstimator(_LevelMixture):
     """Level-grid mixture estimator for a pair of variables, fitted in batches only.
 
     Level pair (j, k) has the weight w_j w_k, w_k = 1/((k+1)(k+2)) on each axis.
+    It takes two priced axes, as a fitted column's axis serves every pair it
+    joins; MixtureEstimator prices its own, which no other estimator shares.
     """
 
-    def __init__(self, partition_x: Partition, partition_y: Partition,
-                 measure_x: ReferenceMeasure, measure_y: ReferenceMeasure):
-        super().__init__((_Axis(partition_x, measure_x), _Axis(partition_y, measure_y)))
-        self.partition_x, self.partition_y = partition_x, partition_y
+    def __init__(self, axis_x: Axis, axis_y: Axis):
+        super().__init__((axis_x, axis_y))
+        self.partition_x, self.partition_y = axis_x.partition, axis_y.partition
 
     def observe_many(self, xs, ys) -> float:
         """Fold a batch of pairs in; returns the total log-density increment.
@@ -172,18 +173,16 @@ class PairReport:
 class FittedColumn:
     """One column fitted once, holding only what its reports and pair analyses read.
 
-    log_density is the marginal mixture's log g over values.  partition is the
-    column's histogram sequence cut again at the joint depth, and cells holds
-    each value's raw cell at that partition's finest level (both None when
-    fitted without joint_levels): every pair reads the cells binned once here,
-    and the first pair prices the partition's cell alphabets for the rest.  The
-    marginal estimator and its deep partition are dropped after the fit, so a
-    forest over d columns keeps d shallow partitions, not d deep ones.
+    log_density is the marginal mixture's log g over values.  axis is the
+    column's histogram sequence cut again at the joint depth and priced, and
+    cells holds each value's raw cell at its finest level (both None when
+    fitted without joint_levels); every pair reads both.  The marginal
+    estimator and its deep axis are dropped after the fit, so a forest over d
+    columns prices 2d axes and keeps the d shallow ones.
     """
 
     values: np.ndarray
-    measure: ReferenceMeasure
-    partition: HistogramSequence | None
+    axis: Axis | None
     cells: np.ndarray | None
     log_density: float
 
@@ -201,11 +200,11 @@ class FittedColumn:
         values = np.asarray(values, dtype=float)
         marginal = MixtureEstimator(partition, measure)
         marginal.observe_many(values)
-        shallow = cells = None
+        axis = cells = None
         if joint_levels is not None:
             shallow = HistogramSequence(partition.center, partition.scale, max_level=joint_levels)
-            cells = shallow.finest_cells(values)
-        return cls(values, measure, shallow, cells, marginal.log_density())
+            axis, cells = Axis(shallow, measure), shallow.finest_cells(values)
+        return cls(values, axis, cells, marginal.log_density())
 
     def codelength_bits(self) -> float:
         """-log2 g^n of the column, as MixtureEstimator.codelength_bits."""
@@ -220,7 +219,7 @@ def score_pair(fx: FittedColumn, fy: FittedColumn, prior_p: float = 0.5) -> Pair
     """
     if not 0 < prior_p < 1:
         raise ValueError("prior_p must lie strictly between 0 and 1")
-    if fx.partition is None or fy.partition is None:
+    if fx.axis is None or fy.axis is None:
         raise ValueError("a column fitted without joint_levels cannot be paired")
     log_gx, log_gy = fx.log_density, fy.log_density
     for label, value in (("x", log_gx), ("y", log_gy)):
@@ -230,7 +229,7 @@ def score_pair(fx: FittedColumn, fy: FittedColumn, prior_p: float = 0.5) -> Pair
         raise ValueError("paired columns must be equal-length")
     if not fx.cells.size:
         raise ValueError("at least one sample pair is required")
-    joint = JointEstimator(fx.partition, fy.partition, fx.measure, fy.measure)
+    joint = JointEstimator(fx.axis, fy.axis)
     joint._observe_cells(fx.cells, fy.cells)   # the marginal fits gated the values
     log_gxy = joint.log_density()
     if log_gxy == -math.inf:

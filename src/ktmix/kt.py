@@ -135,13 +135,16 @@ class KtState:
     def observe_counts(self, symbols, counts) -> float:
         """Fold in counts[i] occurrences of symbols[i]; returns the log-probability increment.
 
-        symbols must be strictly increasing and counts positive.  The
+        symbols must be strictly increasing and counts positive integers.  The
         increment is the closed form sum_x [lnG(c[x] + a[x] + 1/2) - lnG(c[x] + 1/2)]
         - [lnG(n + N + m/2) - lnG(n + m/2)] for prior counts c, n and added
         counts a, N: the sequential product, in any order of the batch.
         """
-        symbols = np.array(symbols, dtype=np.int64)   # copies: the state may keep them
-        counts = np.array(counts, dtype=np.int64)
+        with np.errstate(invalid="ignore"):   # NaN and inf cast to garbage, which fails the check
+            ints = [np.asarray(a).astype(np.int64) for a in (symbols, counts)]   # copies the state may keep
+        if not all(map(np.array_equal, ints, (symbols, counts))):   # 2.0 passes, 1.7 does not
+            raise ValueError("batch symbols and counts must be integers")
+        symbols, counts = ints
         if symbols.ndim != 1 or symbols.shape != counts.shape:
             raise ValueError("symbols and counts must be one-dimensional and of equal length")
         if symbols.size == 0:
@@ -179,8 +182,8 @@ class KtState:
         return inc
 
     def observe_many(self, symbols) -> float:
-        """Observe a whole batch; returns the total log-probability increment."""
-        symbols = np.asarray(symbols, dtype=np.int64)
+        """Observe a whole batch of integer symbols; returns the total log-probability increment."""
+        symbols = np.asarray(symbols)   # observe_counts checks that the symbols are integers
         if symbols.ndim != 1:
             raise ValueError("symbol batch must be one-dimensional")
         uniq, batch_counts = np.unique(symbols, return_counts=True)
@@ -192,8 +195,8 @@ def kt_log_prob_closed_form(counts, alphabet_size: int) -> float:
 
     Equals Gamma(m/2) * prod_x Gamma(c[x]+1/2) / (Gamma(n+m/2) * Gamma(1/2)^m)
     in log form, summed per symbol in plain Python; it is the reference that
-    both KtState paths are checked against.  Symbols with zero count
-    contribute nothing.
+    both KtState paths are checked against.  Symbols and counts must be
+    integers; symbols with zero count contribute nothing.
     """
     if isinstance(counts, dict):
         items = counts.items()
@@ -206,10 +209,10 @@ def kt_log_prob_closed_form(counts, alphabet_size: int) -> float:
     result = 0.0
     base = _lgamma(0.5)
     for sym, cnt in items:
-        if not 0 <= sym < m:
-            raise ValueError(f"symbol {sym} out of range")
-        if cnt < 0:
-            raise ValueError("counts must be nonnegative")
+        if not (0 <= sym < m and sym == int(sym)):
+            raise ValueError(f"symbol {sym} is not an integer in 0..{m - 1}")
+        if not (cnt >= 0 and cnt == int(cnt)):
+            raise ValueError(f"count {cnt} is not a nonnegative integer")
         if cnt:
             result += _lgamma(int(cnt) + 0.5) - base
             total += int(cnt)

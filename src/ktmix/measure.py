@@ -190,9 +190,10 @@ class CountingMeasure(ReferenceMeasure):
     @classmethod
     def from_atoms(cls, atoms, weights=None) -> "CountingMeasure":
         atoms = [float(a) for a in atoms]
-        if weights is None:
-            weights = [1.0] * len(atoms)
-        pairs = sorted(zip(atoms, (float(w) for w in weights)))
+        weights = [1.0] * len(atoms) if weights is None else [float(w) for w in weights]
+        if len(atoms) != len(weights):
+            raise ValueError("atoms and weights must align")
+        pairs = sorted(zip(atoms, weights))
         if any(a == b for (a, _), (b, _) in zip(pairs, pairs[1:])):
             raise ValueError("duplicate atom")
         return cls(tuple(a for a, _ in pairs), tuple(w for _, w in pairs))

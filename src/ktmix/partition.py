@@ -75,7 +75,7 @@ class Partition:
     whose support the samples must lie in; the default admits every finite
     value.  Nothing in ktmix sets it (see the module docstring), and its
     deletion waits for ROADMAP item 2.  Instances are immutable once built,
-    apart from the cache that estimator.level_alphabet keeps on them.
+    and the subclasses' copies rebuild themselves with read-only cuts.
     """
 
     def __init__(self, cut_levels, support=None):
@@ -101,7 +101,6 @@ class Partition:
         self._cuts = cuts
         self._support = support
         self.max_level = len(cuts) - 1
-        self._alphabets: dict = {}  # k -> (measure, alphabet); see estimator.level_alphabet
         self._refines: bool | None = None
 
     def in_support(self, y: float) -> bool:
@@ -248,3 +247,7 @@ class CustomPartition(Partition):
         levels = [np.empty(0)]
         levels.extend(np.asarray(c, dtype=float) for c in cut_levels)
         super().__init__(levels, support)
+
+    def __reduce__(self):
+        """A copy or pickle rebuilds the partition: the same cuts, again read-only."""
+        return CustomPartition, (self._cuts[1:], self._support)

@@ -3,7 +3,7 @@
 import sys
 from pathlib import Path
 
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 
 # Hypothesis draws some values from a pool of constants that it harvests from
 # every loaded module outside the tests, so a module that only some tests load
@@ -30,4 +30,12 @@ settings.register_profile(
     max_examples=100,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# tools/mutants.py runs each mutant's tests with --hypothesis-profile=mutants:
+# a property test stops at its first failing example, unshrunk, since a kill
+# needs a failure, not the smallest failing example, and shrinking is most of
+# the time a mutant's tests take.  The profile lives here, not in the tool,
+# because hypothesis harvests constants from every loaded module outside the
+# tests, and a plugin module would add its own to the pool.
+settings.register_profile("mutants", settings.get_profile("ktmix"), report_multiple_bugs=False,
+                          phases=[Phase.explicit, Phase.reuse, Phase.generate])
 settings.load_profile("ktmix")

@@ -45,9 +45,9 @@ def test_tracing_wraps_counts_and_restores_the_library(bench):
         est.observe_many(xs)
         est.observe(0.5)
         est.density_at(0.1)
-        joint = ktmix.JointEstimator(ktmix.HistogramSequence(0.0, 1.0, max_level=3),
-                                     ktmix.HistogramSequence(0.0, 1.0, max_level=3),
-                                     ktmix.LebesgueMeasure(), ktmix.LebesgueMeasure())
+        joint = ktmix.JointEstimator(
+            ktmix.Axis(ktmix.HistogramSequence(0.0, 1.0, max_level=3), ktmix.LebesgueMeasure()),
+            ktmix.Axis(ktmix.HistogramSequence(0.0, 1.0, max_level=3), ktmix.LebesgueMeasure()))
         joint.observe_many(xs, ys)
     assert (ktmix.MixtureEstimator.observe_many, ktmix.JointEstimator.__init__,
             ktmix.Partition.level_map, ktmix.estimator.level_alphabet) == originals

@@ -10,7 +10,7 @@ import ktmix.joint
 import ktmix.partition
 from ktmix.cli import main
 from ktmix.data import ColumnSchema, build_schema, parse_dataset
-from ktmix.estimator import MixtureEstimator
+from ktmix.estimator import Axis, MixtureEstimator
 from ktmix.joint import analyze_pair
 from ktmix.partition import HistogramSequence
 
@@ -198,6 +198,26 @@ class TestIndepAndForest:
             assert entry["decision"] == want.pop("decision")
             for key, value in want.items():
                 assert entry[key] == pytest.approx(value, rel=0, abs=1e-12), (a, b, key)
+
+    def test_forest_prices_two_axes_per_column(self, tmp_path, capsys, monkeypatch):
+        # One deep axis for each column's marginal fit and one joint-depth axis
+        # that every pair of the column shares: 2d axes, not d + d(d - 1).
+        path = str(tmp_path / "four.csv")
+        code, _, err = run_cli(capsys, "simulate", "--columns", "x=gaussian,u=uniform,b=bernoulli,m=mixed",
+                               "--rows", "100", "--seed", "3", "--output", path)
+        assert code == 0, err
+        depths = []
+        build = Axis.__init__
+
+        def counted(self, partition, measure):
+            depths.append(partition.max_level)
+            build(self, partition, measure)
+
+        monkeypatch.setattr(Axis, "__init__", counted)
+        code, out, err = run_cli(capsys, "forest", path, "--levels", "8", "--joint-levels", "6")
+        assert code == 0, err
+        assert len(json.loads(out)["pairs"]) == 6
+        assert sorted(depths) == [6] * 4 + [8] * 4
 
     def test_prior_flag_is_honored(self, dataset, capsys):
         _, out, _ = run_cli(capsys, "indep", dataset, "x", "u",
@@ -422,6 +442,51 @@ class TestErrors:
         assert code == 1
         assert err.startswith(f"error: --schema {schema_path}: {where}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, files, message", [
+        (("codelength", "{data}", "--levels", "-1"), {}, "level counts must be nonnegative"),
+        (("codelength", "{data}", "--mu", "a=abc"), {}, "--mu value 'abc' for column 'a' is invalid"),
+        (("simulate", "--columns", "x", "--rows", "5", "--output", "{out}"), {},
+         "--columns expects NAME=KIND entries, got 'x'"),
+        (("simulate", "--columns", "x=gaussian,x=uniform", "--rows", "5", "--output", "{out}"), {},
+         "duplicate simulated column 'x'"),
+        (("simulate", "--columns", "x=cauchy", "--rows", "5", "--output", "{out}"), {},
+         "unknown generator 'cauchy' for column 'x'"),
+        (("simulate", "--columns", "x=gaussian", "--rows", "0", "--output", "{out}"), {},
+         "--rows must be at least 1"),
+        (("codelength", "{blank}"), {"blank": "x, ,y\n1,2,3\n"}, "{blank}: blank column name in header"),
+        *((("codelength", "{data}", "--schema", "{schema}"),
+           {"schema": '[{"name": "b", "kind": "discrete", "center": 0.5, "scale": 0.5, '
+                      f'"measure": {measure}}}]'},
+           "--schema {schema}: column entry 0: " + reason) for measure, reason in [
+            ('{"variant": "poisson"}', "unknown measure variant 'poisson'"),
+            ('{"variant": "counting", "rule": "geometric"}', "unknown counting rule 'geometric'"),
+            ('{"variant": "counting", "rule": "unit", "domain": "reals"}',
+             "rule-generated counting needs domain 'integers' or 'naturals'"),
+            ('{"variant": "counting", "rule": "harmonic-telescoping", "domain": "integers"}',
+             "the harmonic-telescoping rule is defined on the naturals"),
+            ('{"variant": "sum", "parts": []}', "a sum measure needs at least one part"),
+            ('{"variant": "lebesgue", "support": {"lower": NaN, "upper": 1}}',
+             "interval endpoints must not be NaN"),
+            ('{"variant": "counting", "atoms": [0, Infinity]}', "atoms must be finite"),
+            ('{"variant": "counting", "atoms": [0, 1], "weights": [1]}', "atoms and weights must align"),
+            ('{"variant": "counting", "atoms": [0, 1], "weights": [1, 1, 5]}',
+             "atoms and weights must align"),
+        ]),
+    ], ids=["negative-levels", "mu-not-a-number", "column-spec-without-kind", "duplicate-simulated-column",
+            "unknown-generator", "zero-rows", "blank-header-name", "unknown-variant",
+            "unknown-counting-rule", "rule-on-the-reals", "harmonic-on-the-integers", "empty-sum",
+            "nan-interval-end", "infinite-atom", "too-few-weights", "too-many-weights"])
+    def test_invalid_flag_or_file_fails_with_one_error_line(self, dataset, tmp_path, capsys,
+                                                            argv, files, message):
+        paths = {"data": dataset, "out": str(tmp_path / "out.csv")}
+        for key, text in files.items():
+            paths[key] = str(tmp_path / f"{key}.txt")
+            with open(paths[key], "w") as fh:
+                fh.write(text)
+        code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message.format(**paths)}\n"
 
     @pytest.mark.parametrize("text", ['{"columns": [', "", "[1, 2,]"])
     def test_schema_file_that_is_not_json_names_flag_and_file(self, dataset, tmp_path, capsys,

@@ -43,11 +43,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="refinement"):
             MixtureEstimator(broken, LebesgueMeasure())
 
-    def test_level_alphabet_is_cached_per_measure(self):
+    def test_level_alphabet_is_read_only_and_priced_per_measure(self):
         part = HistogramSequence(0.0, 1.0, max_level=3)
         lebesgue, doubled = LebesgueMeasure(), scaled(LebesgueMeasure(), 2.0)
         first = level_alphabet(part, lebesgue, 3)
-        assert level_alphabet(part, lebesgue, 3) is first
         assert not first[0].flags.writeable and not first[1].flags.writeable
         other = level_alphabet(part, doubled, 3)       # a shared partition, another measure
         np.testing.assert_allclose(other[1], first[1] + math.log(2.0), rtol=0, atol=1e-12)

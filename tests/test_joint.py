@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ktmix.data import default_scale
-from ktmix.estimator import LevelWeights, MixtureEstimator
+from ktmix.estimator import Axis, LevelWeights, MixtureEstimator
 from ktmix.joint import (DEFAULT_JOINT_LEVEL, FittedColumn, JointEstimator, PairReport,
                          analyze_pair, build_forest, score_pair)
 from ktmix.measure import (
@@ -31,7 +31,7 @@ def unit_partitions(max_level):
 
 def unit_joint(max_level):
     px, py = unit_partitions(max_level)
-    return JointEstimator(px, py, LebesgueMeasure(UNIT), LebesgueMeasure(UNIT))
+    return JointEstimator(Axis(px, LebesgueMeasure(UNIT)), Axis(py, LebesgueMeasure(UNIT)))
 
 
 class TestConstruction:
@@ -50,7 +50,7 @@ class TestConstruction:
         broken = CustomPartition([[0.5], [0.25, 0.75]])
         for px, py in ((broken, good), (good, broken)):
             with pytest.raises(ValueError, match="refinement"):
-                JointEstimator(px, py, LebesgueMeasure(), LebesgueMeasure())
+                JointEstimator(Axis(px, LebesgueMeasure()), Axis(py, LebesgueMeasure()))
 
 
 class TestObserve:
@@ -60,9 +60,8 @@ class TestObserve:
 
     def test_unbounded_levels_contribute_zero(self):
         joint = JointEstimator(
-            HistogramSequence(0.0, 1.0, max_level=2),
-            HistogramSequence(0.0, 1.0, max_level=2),
-            LebesgueMeasure(), LebesgueMeasure(),
+            Axis(HistogramSequence(0.0, 1.0, max_level=2), LebesgueMeasure()),
+            Axis(HistogramSequence(0.0, 1.0, max_level=2), LebesgueMeasure()),
         )
         joint.observe_many([0.3], [0.4])
         gld = joint.level_log_densities()
@@ -84,8 +83,8 @@ class TestObserve:
 
     def test_non_finite_pairs_rejected(self):
         px, _ = unit_partitions(2)
-        joint = JointEstimator(px, HistogramSequence(0.0, 1.0, max_level=2),
-                               LebesgueMeasure(UNIT), LebesgueMeasure())
+        joint = JointEstimator(Axis(px, LebesgueMeasure(UNIT)),
+                               Axis(HistogramSequence(0.0, 1.0, max_level=2), LebesgueMeasure()))
         for x, y in ((math.nan, 0.5), (0.5, math.nan), (0.5, math.inf)):
             with pytest.raises(OutOfSupportError):
                 joint.observe_many([x], [y])
@@ -113,7 +112,8 @@ class TestObserve:
         mx, my = LebesgueMeasure(UNIT), CountingMeasure.harmonic_naturals()
         xs = np.zeros(40)
         ys = np.random.default_rng(4).integers(1, 6, 40).astype(float)
-        seq, batch = JointEstimator(px, py, mx, my), JointEstimator(px, py, mx, my)
+        axis_x, axis_y = Axis(px, mx), Axis(py, my)   # shared, as a fitted column's axis is
+        seq, batch = JointEstimator(axis_x, axis_y), JointEstimator(axis_x, axis_y)
         total = sum(seq.observe_many([x], [y]) for x, y in zip(xs.tolist(), ys.tolist()))
         inc = batch.observe_many(xs, ys)
         for j in range(6):
@@ -136,7 +136,7 @@ class TestObserve:
         point = LebesgueMeasure(Interval(0.5, 0.5, True, True))
         px, py = HistogramSequence(0.0, 1.0, max_level=3), HistogramSequence(0.0, 1.0, max_level=2)
         for mx, my in ((point, point), (LebesgueMeasure(), point), (point, LebesgueMeasure())):
-            joint = JointEstimator(px, py, mx, my)
+            joint = JointEstimator(Axis(px, mx), Axis(py, my))
             assert joint.observe_many([0.5, 0.5], [0.5, 0.5]) == -math.inf
             assert np.isneginf(joint.level_log_densities()).all()
             assert joint.n == 2
@@ -285,7 +285,7 @@ class TestFittedColumn:
         est = MixtureEstimator(HistogramSequence(xs.mean(), xs.std(), max_level=12), LebesgueMeasure())
         est.observe_many(xs)
         assert fitted.log_density == est.log_density()
-        assert fitted.partition.max_level == 5
+        assert fitted.axis.partition.max_level == 5
         np.testing.assert_array_equal(fitted.values, xs)
 
     def test_scoring_fitted_columns_equals_analyze_pair(self):
@@ -318,7 +318,7 @@ class TestFittedColumn:
         custom = CustomPartition([[0.5], [0.25, 0.5, 0.75]])
         with pytest.raises(ValueError, match="HistogramSequence"):
             FittedColumn.fit([0.2, 0.6], custom, LebesgueMeasure(UNIT), joint_levels=2)
-        assert FittedColumn.fit([0.2, 0.6], custom, LebesgueMeasure(UNIT)).partition is None
+        assert FittedColumn.fit([0.2, 0.6], custom, LebesgueMeasure(UNIT)).axis is None
 
     def test_collapsed_marginal_is_named(self):
         dead = fit_column([0.5, 1.5], levels=1)   # level cells of infinite mass only
@@ -335,7 +335,7 @@ class TestFittedColumn:
         del partition
         gc.collect()
         assert gone() is None
-        assert (fitted.partition is None) == (joint_levels is None)
+        assert (fitted.axis is None) == (joint_levels is None)
 
     @pytest.mark.parametrize("values, levels", [
         (np.random.default_rng(10).standard_normal(500), 10),

@@ -91,6 +91,13 @@ class TestClosedForm:
     def test_accepts_sequences(self):
         assert kt_log_prob_closed_form([2, 0], 2) == pytest.approx(math.log(3 / 8), abs=1e-12)
 
+    def test_non_integral_counts_are_rejected(self):
+        with pytest.raises(ValueError, match="count 1.5 is not a nonnegative integer"):
+            kt_log_prob_closed_form({0: 1.5}, 2)
+        with pytest.raises(ValueError, match="symbol 0.5 is not an integer in 0..1"):
+            kt_log_prob_closed_form({0.5: 1}, 2)
+        assert kt_log_prob_closed_form({0: 2.0}, 2) == kt_log_prob_closed_form({0: 2}, 2)
+
     def test_agrees_with_sequential_on_random_counts(self):
         rng = np.random.default_rng(2024)
         for _ in range(100):
@@ -151,6 +158,24 @@ class TestBatch:
         with pytest.raises(ValueError):
             st.observe_counts([1, 2], [1])
         assert st.total == 0 and not st.counts
+
+    def test_non_integral_batch_counts_are_rejected(self):
+        st = KtState(3)
+        with pytest.raises(ValueError, match="batch symbols and counts must be integers"):
+            st.observe_counts([0], [1.7])
+        with pytest.raises(ValueError, match="batch symbols and counts must be integers"):
+            st.observe_counts([0.5], [1])
+        assert st.total == 0 and not st.counts
+        assert st.observe_counts([0.0], [2.0]) == KtState(3).observe_counts([0], [2])
+
+    def test_non_integral_batch_symbols_are_rejected(self):
+        st = KtState(3)
+        with pytest.raises(ValueError, match="batch symbols and counts must be integers"):
+            st.observe_many([0.9, 1.2])
+        with pytest.raises(ValueError, match="batch symbols and counts must be integers"):
+            st.observe_many([0.0, math.nan])
+        assert st.total == 0 and not st.counts
+        assert st.observe_many([0.0, 1.0]) == KtState(3).observe_many([0, 1])
 
     def test_empty_batch(self):
         st = KtState(3)

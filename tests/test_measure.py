@@ -170,6 +170,11 @@ class TestCounting:
         with pytest.raises(ValueError):
             CountingMeasure.from_atoms([1.0, 1.0])
 
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, 1.0, 5.0]], ids=["too-few", "too-many"])
+    def test_misaligned_weights_are_rejected_not_dropped(self, weights):
+        with pytest.raises(ValueError, match="^atoms and weights must align$"):
+            CountingMeasure.from_atoms([0.0, 1.0], weights)
+
     def test_in_support(self):
         assert CountingMeasure.unit_integers().in_support(-4.0)
         assert not CountingMeasure.unit_integers().in_support(0.5)

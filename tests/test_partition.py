@@ -265,3 +265,21 @@ class TestCustomPartition:
     def test_support_must_be_an_interval_or_a_measure(self):
         with pytest.raises(TypeError):
             CustomPartition([[0.5]], support=(0.0, 1.0))
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+                             ids=["deepcopy", "pickle"])
+    @pytest.mark.parametrize("cut_levels", [[[0.5], [0.25, 0.5, 0.75]], [[0.5], [0.25, 0.75]]],
+                             ids=["refining", "not-refining"])
+    def test_a_copy_is_read_only_and_prices_the_same(self, clone, cut_levels):
+        part = CustomPartition(cut_levels, support=UNIT)
+        twin = clone(part)
+        assert type(twin) is CustomPartition and twin.max_level == part.max_level == 2
+        assert twin.verify_refinement() == part.verify_refinement()
+        assert twin.in_support(0.5) and not twin.in_support(1.5)
+        measure = LebesgueMeasure(UNIT)
+        for k in range(3):
+            cuts = twin.level_map(k).cuts
+            assert not cuts.flags.writeable
+            np.testing.assert_array_equal(cuts, part.level_map(k).cuts)
+            for got, want in zip(level_alphabet(twin, measure, k), level_alphabet(part, measure, k)):
+                np.testing.assert_array_equal(got, want)

@@ -41,7 +41,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ktmix.data import _kind_and_atoms, _parse_cells, parse_dataset
-from ktmix.estimator import MixtureEstimator, _Axis, _logsumexp, level_alphabet
+from ktmix.estimator import Axis, MixtureEstimator, _logsumexp, level_alphabet
 from ktmix.joint import FittedColumn, JointEstimator, score_pair
 from ktmix.kt import KtState, kt_log_prob_closed_form
 from ktmix.measure import (CountingMeasure, Interval, LebesgueMeasure, OutOfSupportError, scaled,
@@ -199,10 +199,10 @@ def test_joint_batch_equals_sequential(x, y, cuts):
     (px, mx, xs), (py, my, ys) = x, y
     n = min(xs.size, ys.size)
     xs, ys = xs[:n], ys[:n]
-    seq = JointEstimator(px, py, mx, my)
+    seq = JointEstimator(Axis(px, mx), Axis(py, my))
     for a, b in zip(xs.tolist(), ys.tolist()):
         seq.observe_many([a], [b])
-    mixed = JointEstimator(px, py, mx, my)
+    mixed = JointEstimator(Axis(px, mx), Axis(py, my))
     for lo, hi, as_batch in segments(n, cuts):
         if as_batch:
             mixed.observe_many(xs[lo:hi], ys[lo:hi])
@@ -245,7 +245,7 @@ def test_joint_batch_equals_the_gn_oracle(x, y):
     xs, ys = xs[:n], ys[:n]
     want = joint_level_log_densities(px, py, mx, my, xs.tolist(), ys.tolist())
     weights = np.outer(level_weights(px.max_level), level_weights(py.max_level))
-    joint = JointEstimator(px, py, mx, my)
+    joint = JointEstimator(Axis(px, mx), Axis(py, my))
     joint.observe_many(xs, ys)
     assert_same_levels(joint.level_log_densities(), want, 1e-10)
     assert_same_levels(joint.log_density(), log_mixture(weights, want), 1e-10)
@@ -263,7 +263,7 @@ def test_joint_with_a_one_cell_axis_is_the_marginal(column):
     py = HistogramSequence(0, 1, support=atom, max_level=0)
     for batch in (True, False):
         marginal = MixtureEstimator(partition, measure)
-        joint = JointEstimator(partition, py, measure, atom)
+        joint = JointEstimator(Axis(partition, measure), Axis(py, atom))
         if batch:
             marginal.observe_many(xs)
             joint.observe_many(xs, np.zeros_like(xs))
@@ -367,8 +367,8 @@ def _on_and_off_cuts(partition):
 def test_scalar_cell_lookup_is_the_batch_lookup(batch, bounded):
     """One-sample and batch lookups both find each level's searched cell, massless cells included."""
     partition, ys = batch
-    axis = _Axis(partition, LebesgueMeasure(Interval(0.0, 1.0, True, False)) if bounded
-                 else LebesgueMeasure())
+    axis = Axis(partition, LebesgueMeasure(Interval(0.0, 1.0, True, False)) if bounded
+                else LebesgueMeasure())
     want = [r2a[raws] for r2a, raws in zip(axis.raw_to_alpha, searched_cells(partition, ys))]
     got = [r2a[raws] for r2a, raws in zip(axis.raw_to_alpha,
                                           partition.ancestors(partition.finest_cells(ys)))]
@@ -438,7 +438,7 @@ def test_joint_count_tables_are_the_binned_pairs(x, y):
     (px, mx, xs), (py, my, ys) = x, y
     n = min(xs.size, ys.size)
     xs, ys = xs[:n], ys[:n]
-    joint = JointEstimator(px, py, mx, my)
+    joint = JointEstimator(Axis(px, mx), Axis(py, my))
     joint.observe_many(xs, ys)
     sizes_y = [level_alphabet(py, my, k)[1].size for k in range(py.max_level + 1)]
     for j, a in enumerate(searched_symbols(px, mx, xs)):
@@ -471,7 +471,7 @@ def test_score_pair_equals_the_joint_fit_of_the_values(x, y, shallower):
     xs, ys = xs[:n], ys[:n]
     levels = max(0, min(px.max_level, py.max_level) - shallower)
     fx, fy = FittedColumn.fit(xs, px, mx, levels), FittedColumn.fit(ys, py, my, levels)
-    joint = JointEstimator(fx.partition, fy.partition, mx, my)
+    joint = JointEstimator(Axis(fx.axis.partition, mx), Axis(fy.axis.partition, my))
     joint.observe_many(xs, ys)
     if -math.inf in (fx.log_density, fy.log_density, joint.log_density()):
         with pytest.raises(ValueError, match="collapsed"):
@@ -598,7 +598,7 @@ def test_mixtures_satisfy_kraft_equality(x, y, n):
     probability spreads over its atoms in proportion to weight / eta."""
     (px, mx), (py, my) = x, y
     for fresh, measures in ((lambda: MixtureEstimator(px, mx), [mx]),
-                            (lambda: JointEstimator(px, py, mx, my), [mx, my])):
+                            (lambda: JointEstimator(Axis(px, mx), Axis(py, my)), [mx, my])):
         total = 0.0
         for columns, weight in weighted_sequences(measures, n):
             est = fresh()

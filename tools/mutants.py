@@ -105,12 +105,9 @@ MUTANTS = (
             "tests/test_properties.py::test_marginal_paths_equal_the_gn_oracle",
             "tests/test_properties.py::test_mixtures_satisfy_kraft_equality",
             "tests/test_reports.py::test_report_bytes_are_pinned[codelength]")),
-    Mutant("axis-pickles-its-lookup-views", "estimator.py",
-           'return {**self.__dict__, "_views": None}', "return self.__dict__",
+    Mutant("axis-copy-rebuilt-against-the-default-measure", "estimator.py",
+           "return Axis, (self.partition, self.measure)", "return Axis, (self.partition, type(self.measure)())",
            ("tests/test_estimator.py::TestObserve::test_a_copy_resumes_the_stream",)),
-    Mutant("alphabet-cache-ignores-the-measure", "estimator.py",
-           "if cached is not None and cached[0] is measure:", "if cached is not None:",
-           ("tests/test_estimator.py::TestConstruction::test_level_alphabet_is_cached_per_measure",)),
     Mutant("ancestors-searched-right", "partition.py",
            'np.searchsorted(cuts, uppers, side="left")', 'np.searchsorted(cuts, uppers, side="right")',
            ("tests/test_properties.py::test_ancestors_and_cells_of_are_the_searched_cells",
@@ -137,6 +134,17 @@ MUTANTS = (
            ("tests/test_partition.py::TestDyadicLevels::test_levels_are_the_level_by_level_cuts_bit_for_bit",
             "tests/test_partition.py::TestCutPoints::test_level_three",
             "tests/test_reports.py::test_report_bytes_are_pinned[codelength]")),
+    Mutant("custom-partition-copies-its-writable-cuts", "partition.py",
+           "def __reduce__(self):\n        \"\"\"A copy or pickle rebuilds the partition:",
+           "def _reduce(self):\n        \"\"\"A copy or pickle rebuilds the partition:",
+           ("tests/test_partition.py::TestCustomPartition::test_a_copy_is_read_only_and_prices_the_same",)),
+    Mutant("atoms-zipped-with-misaligned-weights", "measure.py",
+           "if len(atoms) != len(weights):\n            raise ValueError(\"atoms and weights must align\")\n"
+           "        pairs",
+           "pairs",
+           ("tests/test_measure.py::TestCounting::test_misaligned_weights_are_rejected_not_dropped",
+            "tests/test_cli.py::TestErrors::test_invalid_flag_or_file_fails_with_one_error_line[too-few-weights]",
+            "tests/test_cli.py::TestErrors::test_invalid_flag_or_file_fails_with_one_error_line[too-many-weights]")),
     Mutant("lebesgue-mass-not-clipped-at-zero", "measure.py",
            "return np.maximum(mass, 0.0, out=mass)", "return mass",
            ("tests/test_measure.py::TestLebesgue::test_clips_to_support",
@@ -168,6 +176,16 @@ MUTANTS = (
             "tests/test_joint.py::TestGridKraft::test_exhaustive_product_alphabet_sums_to_one",
             "tests/test_properties.py::test_joint_batch_equals_sequential",
             "tests/test_kt.py::TestBatchCounts::test_batch_into_a_state_with_counts")),
+    Mutant("kt-batch-counts-truncated", "kt.py",
+           "if not all(map(np.array_equal, ints, (symbols, counts))):",
+           "if not np.array_equal(ints[0], symbols):",
+           ("tests/test_kt.py::TestBatch::test_non_integral_batch_counts_are_rejected",)),
+    Mutant("kt-batch-symbols-truncated", "kt.py",
+           "symbols = np.asarray(symbols)   #", "symbols = np.asarray(symbols, dtype=np.int64)   #",
+           ("tests/test_kt.py::TestBatch::test_non_integral_batch_symbols_are_rejected",)),
+    Mutant("closed-form-counts-truncated", "kt.py",
+           "if not (cnt >= 0 and cnt == int(cnt)):", "if not cnt >= 0:",
+           ("tests/test_kt.py::TestClosedForm::test_non_integral_counts_are_rejected",)),
     Mutant("joint-sort-not-stable", "joint.py",
            'order = np.argsort(raw_x.astype(key_type), kind="stable")',
            "order = np.argsort(raw_x.astype(key_type))",
@@ -210,8 +228,8 @@ MUTANTS = (
            ("tests/test_properties.py::test_scalar_cell_lookup_is_the_batch_lookup",
             "tests/test_properties.py::test_joint_batch_equals_the_gn_oracle")),
     Mutant("pair-priced-with-the-x-measure-twice", "joint.py",
-           "fx.partition, fy.partition, fx.measure, fy.measure",
-           "fx.partition, fy.partition, fx.measure, fx.measure",
+           "JointEstimator(fx.axis, fy.axis)",
+           "JointEstimator(fx.axis, Axis(fy.axis.partition, fx.axis.measure))",
            ("tests/test_joint.py::TestAnalyzePair::test_reference_scale_invariance",
             "tests/test_acceptance.py::test_c10_bayes_factor_scale_invariance",
             "tests/test_cli.py::TestIndepAndForest::test_forest_pairs_equal_the_library")),
@@ -251,29 +269,12 @@ def apply(mutant: Mutant, src: Path):
     path.write_text(text.replace(mutant.old, mutant.new, 1), encoding="utf-8")
 
 
-def pytest_collect_file(file_path, parent):
-    """Hook of this module as a pytest plugin (-p mutants): property tests stop at their first
-    failing example, unshrunk.
-
-    It runs after tests/conftest.py has loaded its profile and before a test
-    module is imported, where @given reads the profile.  A kill needs a
-    failure, not the smallest failing example, and shrinking is most of the
-    time a mutant's tests take.
-    """
-    from hypothesis import Phase, settings
-
-    settings.register_profile("mutants", settings.default, report_multiple_bugs=False,
-                              phases=[Phase.explicit, Phase.reuse, Phase.generate])
-    settings.load_profile("mutants")
-
-
 def failing(src: Path, tests) -> set:
     """The node ids among tests that fail (or error) with the package under src."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(src), str(ROOT / "tools"))),
-               PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "mutants", "--tb=no",
-         "-rfE", *tests],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--hypothesis-profile=mutants",
+         "--tb=no", "-rfE", *tests],
         cwd=ROOT, env=env, capture_output=True, text=True)
     if proc.returncode not in (0, 1):   # interrupted, usage error (an unknown id), nothing collected
         raise MutantError(f"pytest exited with status {proc.returncode}:\n{proc.stdout}{proc.stderr}")
